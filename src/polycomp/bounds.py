@@ -22,10 +22,10 @@ from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from .compressed import is_compressed
-from .linalg import affine_lattice_of, determinant, solve_rational, vsub
+from .linalg import affine_lattice_of, solve_rational
 from .polytope import LatticePolytope, PointConfiguration
 from .simplex import solve_standard_form
-from .triangulate import pulling_triangulation_of
+from .triangulate import _first_nonunimodular_cell, pulling_triangulation_of
 
 PULL_FIRST_COLUMN_CAP = 9
 
@@ -100,8 +100,10 @@ def lp_max(program, minimize=False):
     res = solve_standard_form(program.matrix, program.rhs, c)
     if res.status == "infeasible":
         return LPOutcome("infeasible", None, None)
-    assert res.status == "optimal", "homogeneous programs are bounded"
-    assert sum(res.solution) == program.budget, "homogeneity pins the 1-norm"
+    if res.status != "optimal":
+        raise RuntimeError(f"simplex returned {res.status!r} on a homogeneous program")
+    if sum(res.solution) != program.budget:
+        raise RuntimeError("LP optimum breaks the 1-norm that homogeneity pins")
     return LPOutcome("optimal", sign * res.value, res.solution)
 
 
@@ -204,6 +206,8 @@ def lp_ip_equal_all(a, budget, cells=None):
     (with multiplicity), deduplicated; ``cells`` restricts the objective
     coordinates, default all.  Returns the first counterexample found.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     w = find_weight(a)
     if w is None:
         raise ValueError("matrix is not homogeneous")
@@ -223,7 +227,8 @@ def lp_ip_equal_all(a, budget, cells=None):
             program = make_program(a, b, i)
             lp = lp_max(program)
             ip = ip_max(program)
-            assert lp.status == "optimal" and ip.status == "optimal"
+            if lp.status != "optimal" or ip.status != "optimal":
+                raise RuntimeError(f"column sum {b} must be LP- and IP-feasible")
             if lp.value != ip.value:
                 return SweepResult(False, len(rhs_set), (b, i, lp.value, ip.value))
     return SweepResult(True, len(rhs_set), None)
@@ -368,12 +373,6 @@ def pull_first_unimodular(a, objective_index, cap=PULL_FIRST_COLUMN_CAP):
     rest = [j for j in range(n) if j != objective_index]
     for tail in permutations(rest):
         tri = pulling_triangulation_of(config, (objective_index,) + tail)
-        ok = True
-        for cell in tri.simplices:
-            edges = [vsub(coords[i], coords[cell[0]]) for i in cell[1:]]
-            if abs(determinant(edges)) != 1:
-                ok = False
-                break
-        if ok:
+        if _first_nonunimodular_cell(coords, tri.simplices) is None:
             return True
     return False

@@ -115,7 +115,10 @@ def cmd_cut_classify(args):
 
 def cmd_margin_classify(args):
     complex_, d = _load(args.model, model_from_json)
-    result = margins_compressed(complex_, d, column_cap=args.column_cap)
+    try:
+        result = margins_compressed(complex_, d, column_cap=args.column_cap)
+    except ValueError as exc:
+        raise InputError(str(exc))
     _emit({"compressed": result.verdict, "rule": result.rule})
     return 1 if result.verdict == "false" else 0
 
@@ -490,11 +493,19 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # exact arithmetic takes integers of any length, in JSON input and
+    # output; interpreters before 3.10.7 have no digit limit to lift
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

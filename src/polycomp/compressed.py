@@ -31,8 +31,10 @@ class FacetLevelProfile:
     witnesses: tuple
 
     def __post_init__(self):
-        assert list(self.levels) == sorted(set(self.levels))
-        assert all(m > 0 for m in self.levels)
+        if list(self.levels) != sorted(set(self.levels)):
+            raise ValueError("levels must be strictly increasing")
+        if not all(m > 0 for m in self.levels):
+            raise ValueError("levels must be positive")
 
 
 @dataclass(frozen=True)

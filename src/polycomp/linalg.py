@@ -25,10 +25,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
     g = 0
@@ -271,10 +267,6 @@ def affine_rank(points):
     base = points[0]
     diffs = [vsub(p, base) for p in points[1:]]
     return matrix_rank(diffs)
-
-
-def affinely_independent(points):
-    return affine_rank(points) == len(points) - 1
 
 
 @dataclass(frozen=True)

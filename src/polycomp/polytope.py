@@ -8,9 +8,9 @@ of the "hull lattice" (declared lattice restricted to the affine hull), where
 the polytope is full dimensional and facet normals have a canonical primitive
 normalization.
 
-Facet enumeration uses brute-force hyperplane search through point subsets
-for small instances and the double description method above that; the brute
-path doubles as the test oracle for the incremental one.
+Facet enumeration is the double description method for every input size.
+``_facets_bruteforce`` (hyperplane search through point subsets) has no
+caller here: it is the independent reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ from .linalg import (
     rref,
     saturate_rows,
     solve_integer,
-    solve_rational,
     vsub,
 )
 
-BRUTE_FORCE_POINT_LIMIT = 12
 PROPAGATED_FACET_LIMIT = 64
 
 
@@ -120,25 +118,17 @@ def _facets_bruteforce(points, dim):
     )
 
 
-def _independent_row_subset(rows, size):
-    chosen = []
-    chosen_idx = []
-    for i, row in enumerate(rows):
-        if matrix_rank(chosen + [row]) > len(chosen):
-            chosen.append(row)
-            chosen_idx.append(i)
-            if len(chosen) == size:
-                return chosen_idx
-    raise ValueError("rows do not have full rank")
-
-
 def _facets_dd(points, dim):
     """Facets of conv(points) by the double description method.
 
     Works in the dual: the facets of P are the extreme rays of the cone
-    ``{y : (1, z_i) . y >= 0 for all i}``.  Rays carry bitmasks of the
-    constraints tight at them; adjacency of a positive/negative ray pair is
-    decided combinatorially (no third ray's tight set contains the common
+    ``{y : (1, z_i) . y >= 0 for all i}``.  The start cone comes from one
+    RREF of ``[rows^T | I]``: its pivot columns are the first affinely
+    independent points in input order, and row j of the right-hand block
+    solves ``base . y = e_j``, so scaled to a primitive integer vector it is
+    the ray tight at every start row but the j-th.  Rays carry bitmasks of
+    the constraints tight at them; adjacency of a positive/negative ray pair
+    is decided combinatorially (no third ray's tight set contains the common
     one), which is what keeps the insertion step polynomial per output ray.
     Every ray also carries its value against all n constraints, updated
     with the same combination that builds the ray, so no dot product is ever
@@ -146,26 +136,27 @@ def _facets_dd(points, dim):
     """
     rows = [(1,) + tuple(z) for z in points]
     n = len(rows)
-    start = _independent_row_subset(rows, dim + 1)
-    start_set = set(start)
+    width = dim + 1
+    augmented = [
+        [Fraction(row[k]) for row in rows] + [Fraction(int(k == j)) for j in range(width)]
+        for k in range(width)
+    ]
+    reduced, pivots = rref(augmented)
+    if pivots[-1] >= n:
+        raise ValueError("rows do not have full rank")
+    start_set = set(pivots)
+    start_mask = sum(1 << i for i in pivots)
 
     rays = []
     masks = []
     values = []
-    base = [rows[i] for i in start]
-    for j in range(dim + 1):
-        target = [1 if k == j else 0 for k in range(dim + 1)]
-        sol = solve_rational(base, target)
+    for i, red in zip(pivots, reduced):
         scale = 1
-        for x in sol:
+        for x in red[n:]:
             scale = scale * x.denominator // gcd(scale, x.denominator)
-        ray = primitive(tuple(int(x * scale) for x in sol))
-        mask = 0
-        for pos, i in enumerate(start):
-            if pos != j:
-                mask |= 1 << i
+        ray = primitive(tuple(int(x * scale) for x in red[n:]))
         rays.append(ray)
-        masks.append(mask)
+        masks.append(start_mask & ~(1 << i))
         values.append([dot(row, ray) for row in rows])
 
     for c in range(n):
@@ -236,15 +227,11 @@ def _facets_dd(points, dim):
     return sorted(facets)
 
 
-def _facets_fulldim(points, dim, engine="auto"):
-    if dim == 0:
-        return []
-    if engine == "brute" or (engine == "auto" and len(points) <= BRUTE_FORCE_POINT_LIMIT):
-        return _facets_bruteforce(points, dim)
-    return _facets_dd(points, dim)
+def _facets_fulldim(points, dim):
+    return _facets_dd(points, dim) if dim else []
 
 
-def facet_index_subsets(points, engine="auto"):
+def facet_index_subsets(points):
     """For each facet of conv(points), the indices of points lying on it.
 
     ``points`` may sit in a higher-dimensional space; they are projected to
@@ -254,7 +241,7 @@ def facet_index_subsets(points, engine="auto"):
     projected, dim = _project_to_pivot_coords(points)
     if dim == len(points) - 1:
         return None
-    return [tight for _, _, tight, _ in _facets_fulldim(projected, dim, engine)]
+    return [tight for _, _, tight, _ in _facets_fulldim(projected, dim)]
 
 
 def _reduce_mod_rows(vec, hnf_rows):
@@ -277,9 +264,8 @@ class PointConfiguration:
     configuration shares this cache.
     """
 
-    def __init__(self, points, engine="auto"):
+    def __init__(self, points):
         self.points = tuple(tuple(int(x) for x in p) for p in points)
-        self._engine = engine
         self._cache = {}
 
     def __len__(self):
@@ -290,7 +276,7 @@ class PointConfiguration:
         key = frozenset(key)
         if key not in self._cache:
             ordered = sorted(key)
-            subs = facet_index_subsets([self.points[i] for i in ordered], self._engine)
+            subs = facet_index_subsets([self.points[i] for i in ordered])
             if subs is None:
                 self._cache[key] = None
             else:
@@ -308,7 +294,7 @@ class LatticePolytope:
     sharing across threads is safe once warm.
     """
 
-    def __init__(self, points, lattice=None, engine="auto"):
+    def __init__(self, points, lattice=None):
         pts = sorted({tuple(int(x) for x in p) for p in points})
         if not pts:
             raise ValueError("a lattice polytope needs at least one point")
@@ -332,7 +318,6 @@ class LatticePolytope:
         self.hull_lattice = AffineLattice(pts[0], tuple(basis))
         self.dim = self.hull_lattice.dim
         self._pts_m = tuple(self.hull_lattice.coords(p) for p in pts)
-        self._engine = engine
         self._facets = None
         self._facet_set = None
         self._hull_equations = None
@@ -351,7 +336,7 @@ class LatticePolytope:
 
     def facets(self):
         if self._facets is None:
-            raw = _facets_fulldim(list(self._pts_m), self.dim, self._engine)
+            raw = _facets_fulldim(list(self._pts_m), self.dim)
             lifted = [self._lift_facet(g, h, tight, slacks) for g, h, tight, slacks in raw]
             lifted.sort(key=lambda f: (f.normal, f.offset))
             self._facets = tuple(lifted)
@@ -576,18 +561,13 @@ class LatticePolytope:
     def configuration(self):
         """PointConfiguration over the lattice points (shared face-split cache)."""
         if self._configuration is None:
-            self._configuration = PointConfiguration(self.lattice_points(), self._engine)
+            self._configuration = PointConfiguration(self.lattice_points())
         return self._configuration
 
-    def face_point_subsets(self, index_subset):
-        """Facet point-index subsets of the face spanned by given lattice-point
-        indices; None means the sub-configuration is affinely independent."""
-        return self.configuration().facet_subsets(index_subset)
 
-
-def facet_enumeration(points, lattice=None, engine="auto"):
+def facet_enumeration(points, lattice=None):
     """Irredundant facet inequalities of conv(points) within its affine hull."""
-    return LatticePolytope(points, lattice=lattice, engine=engine).facets()
+    return LatticePolytope(points, lattice=lattice).facets()
 
 
 def affine_hull_equations(points):

@@ -81,7 +81,8 @@ def solve_standard_form(a, b, c):
     tableau.append(obj)
     basis = [n + i for i in range(m)]
     status = _run_simplex(tableau, basis, ncols)
-    assert status == "optimal"  # phase 1 is always bounded
+    if status != "optimal":
+        raise RuntimeError(f"phase 1 returned {status!r}; it is always bounded")
     if tableau[m][-1] != 0:
         return LPResult("infeasible", None, None)
 

@@ -114,14 +114,19 @@ def triangulation_volumes(polytope, triangulation):
     return out
 
 
-def is_unimodular(polytope, triangulation):
-    """(all simplices unimodular?, first offending simplex or None)."""
-    coords = _volume_coords(polytope)
-    for cell in triangulation.simplices:
+def _first_nonunimodular_cell(coords, cells):
+    """The first cell whose edge determinant over ``coords`` is not +-1, or None."""
+    for cell in cells:
         edges = [vsub(coords[i], coords[cell[0]]) for i in cell[1:]]
         if abs(determinant(edges)) != 1:
-            return False, cell
-    return True, None
+            return cell
+    return None
+
+
+def is_unimodular(polytope, triangulation):
+    """(all simplices unimodular?, first offending simplex or None)."""
+    cell = _first_nonunimodular_cell(_volume_coords(polytope), triangulation.simplices)
+    return cell is None, cell
 
 
 def total_normalized_volume(polytope):
@@ -323,11 +328,7 @@ def all_pulling_unimodular(
 
     def ordering_ok(order):
         tri = pulling_triangulation_of(config, order)
-        for cell in tri.simplices:
-            edges = [vsub(coords[i], coords[cell[0]]) for i in cell[1:]]
-            if abs(determinant(edges)) != 1:
-                return False
-        return True
+        return _first_nonunimodular_cell(coords, tri.simplices) is None
 
     if k > cap:
         verdict = transitive_symmetry_shortcut(polytope)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 from polycomp.cli import main
 
@@ -170,6 +171,37 @@ def test_sweep_restricted_cells(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["holds"] is True
+
+
+def test_sweep_negative_budget_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "A.json", SEGMENT_MATRIX)
+    code, out, err = run(capsys, ["sweep", "--matrix", path, "--budget", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be nonnegative\n"
+
+
+def test_margin_classify_bad_size_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "d1.json", {"n": 2, "facets": [[1, 2]], "d": [1, 3]})
+    code, out, err = run(capsys, ["margin-classify", "--model", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_certify_integers_beyond_the_str_digit_limit(tmp_path, capsys):
+    # the unit square translated by 4301-digit integers, past the default
+    # int-string limit of json.load and json.dumps
+    low, high = "7" * 4301, "7" * 4300 + "8"
+    square = ", ".join(f"[{x}, {y}]" for x in (low, high) for y in (low, high))
+    path = tmp_path / "huge.json"
+    path.write_text('{"points": [' + square + '], "lattice": "auto"}')
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, ["certify", "--polytope", str(path)])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert '"verdict": true' in out
+    assert len(out) > 4 * 4301
 
 
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):

@@ -3,6 +3,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from polycomp.compressed import (
+    FacetLevelProfile,
     cube_embedding,
     facet_levels,
     is_compressed,
@@ -42,6 +43,14 @@ def test_facet_levels_segment():
     profile = facet_levels(SEGMENT_012, facet)
     assert profile.levels == (1, 2)
     assert profile.witnesses == ((1,), (2,))
+
+
+def test_facet_level_profile_rejects_invalid_levels():
+    facet = SEGMENT_012.facets()[0]
+    for levels in ((2, 1), (1, 1), (0, 1), (-1,)):
+        with pytest.raises(ValueError):
+            FacetLevelProfile(facet=facet, levels=levels, witnesses=())
+    assert FacetLevelProfile(facet=facet, levels=(1, 2), witnesses=()).levels == (1, 2)
 
 
 def test_facet_levels_birkhoff_b3_all_single():

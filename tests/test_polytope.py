@@ -1,17 +1,22 @@
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from polycomp.linalg import AffineLattice, matrix_rank, standard_lattice, vsub
 from polycomp.polytope import (
     LatticePolytope,
+    PointConfiguration,
+    _facets_bruteforce,
+    _facets_dd,
+    _project_to_pivot_coords,
     affine_hull_equations,
     face_of,
     facet_enumeration,
     facet_index_subsets,
     sublattice_through,
 )
+from polycomp.triangulate import pulling_triangulation_of
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 CUT_K3 = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -69,19 +74,64 @@ def test_dd_matches_bruteforce_oracle():
         pts = random_point_set(rng)
         if len(pts) < 2:
             continue
-        brute = facet_enumeration(pts, engine="brute")
-        dd = facet_enumeration(pts, engine="dd")
-        assert [(f.normal, f.offset) for f in brute] == [(f.normal, f.offset) for f in dd]
-        assert [f.tight for f in brute] == [f.tight for f in dd]
+        poly = LatticePolytope(pts)
+        z = [poly.hull_lattice.coords(p) for p in poly.generators]
+        assert _facets_dd(z, poly.dim) == _facets_bruteforce(z, poly.dim)
         checked += 1
 
 
 def test_dd_on_zero_one_cube():
     cube = [tuple(bits) for bits in product((0, 1), repeat=4)]
-    facets = facet_enumeration(cube, engine="dd")
+    facets = _facets_dd(cube, 4)
     assert len(facets) == 8
-    brute = facet_enumeration(cube, engine="brute")
-    assert as_ineq_set(facets) == as_ineq_set(brute)
+    assert facets == _facets_bruteforce(cube, 4)
+
+
+class RecordingConfiguration(PointConfiguration):
+    """A configuration that remembers every face a triangulation splits."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.visited = set()
+
+    def facet_subsets(self, key):
+        self.visited.add(frozenset(key))
+        return super().facet_subsets(key)
+
+
+def cut_vectors(n):
+    edges = list(combinations(range(n), 2))
+    return sorted({
+        tuple(int(bool(mask >> i & 1) != bool(mask >> j & 1)) for i, j in edges)
+        for mask in range(2 ** n)
+    })
+
+
+@pytest.mark.parametrize("points", [
+    [(0,), (1,), (2,)],
+    LatticePolytope([(0, 0), (3, 0), (0, 3)], lattice=standard_lattice(2)).lattice_points(),
+    cut_vectors(4),
+    [tuple(int(perm[i] == j) for i in range(3) for j in range(3))
+     for perm in permutations(range(3))],
+], ids=["segment", "dilated-triangle", "cut-k4", "birkhoff-b3"])
+def test_dd_matches_bruteforce_on_pulling_face_splits(points):
+    # every face a pulling triangulation splits, as facet_index_subsets sees it
+    assert len(points) <= 12
+    config = RecordingConfiguration(points)
+    pulling_triangulation_of(config, range(len(points)))
+    compared = 0
+    for key in config.visited:
+        projected, dim = _project_to_pivot_coords([points[i] for i in sorted(key)])
+        if dim == len(key) - 1:
+            continue  # a simplex is never split
+        assert _facets_dd(projected, dim) == _facets_bruteforce(projected, dim)
+        compared += 1
+    assert compared >= 1
+
+
+def test_dd_rejects_rank_deficient_rows():
+    with pytest.raises(ValueError):
+        _facets_dd([(0, 0), (1, 1), (2, 2)], 2)
 
 
 def test_lattice_points_segment_with_explicit_lattice():
