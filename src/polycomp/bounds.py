@@ -305,8 +305,8 @@ def gap_witness(a, kernel_radius=3):
     # intermediate column and the facet columns
     for mid in mids:
         support = [mid] + base
-        rows = [[Fraction(columns[j][r]) for j in support] for r in range(len(a))]
-        rows.append([Fraction(1)] * len(support))
+        rows = [[columns[j][r] for j in support] for r in range(len(a))]
+        rows.append([1] * len(support))
         sol = solve_rational(rows, list(columns[top]) + [1])
         if sol is None:
             continue

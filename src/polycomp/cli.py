@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 from . import __version__
 from .bounds import (
@@ -38,6 +39,7 @@ from .jsonio import (
     polytope_from_json,
 )
 from .margins import margins_compressed
+from .polytope import LatticePolytope
 from .triangulate import pulling_triangulation, triangulation_volumes
 
 
@@ -214,6 +216,17 @@ def cmd_sweep(args):
 # -- repro: re-derive the headline numbers ------------------------------------
 
 
+def _birkhoff_b3():
+    """The Birkhoff polytope B3: the six 3x3 permutation matrices, row-major."""
+    pts = []
+    for perm in permutations(range(3)):
+        mat = [0] * 9
+        for i, j in enumerate(perm):
+            mat[i * 3 + j] = 1
+        pts.append(tuple(mat))
+    return LatticePolytope(pts)
+
+
 def _repro_checks():
     from itertools import combinations
 
@@ -261,32 +274,11 @@ def _repro_checks():
         return verdict == "not-compressed", f"one-ordering verdict: {verdict}"
 
     def birkhoff_shortcut():
-        from itertools import permutations
-
-        from .polytope import LatticePolytope
-
-        pts = []
-        for perm in permutations(range(3)):
-            mat = [0] * 9
-            for i, j in enumerate(perm):
-                mat[i * 3 + j] = 1
-            pts.append(tuple(mat))
-        verdict = transitive_symmetry_shortcut(LatticePolytope(pts))
+        verdict = transitive_symmetry_shortcut(_birkhoff_b3())
         return verdict == "compressed", f"one-ordering verdict: {verdict}"
 
     def birkhoff_condition_two():
-        from itertools import permutations
-
-        from .polytope import LatticePolytope
-
-        pts = []
-        for perm in permutations(range(3)):
-            mat = [0] * 9
-            for i, j in enumerate(perm):
-                mat[i * 3 + j] = 1
-            pts.append(tuple(mat))
-        poly = LatticePolytope(pts)
-        cert = is_compressed(poly)
+        cert = is_compressed(_birkhoff_b3())
         single = all(len(p.levels) == 1 for p in cert.profiles)
         return cert.verdict and single, (
             f"verdict={cert.verdict}, all facets single-level={single}"

@@ -157,8 +157,7 @@ def zero_one_points_of_affine_hull(polytope):
     """
     n = polytope.ambient_dim
     eqs = polytope.hull_equations()
-    rows = [[Fraction(x) for x in a] + [Fraction(b)] for a, b in eqs]
-    reduced, pivots = rref(rows)
+    reduced, pivots, d = rref([list(a) + [b] for a, b in eqs])
     if any(c == n for c in pivots):
         return []
     free = [j for j in range(n) if j not in pivots]
@@ -170,10 +169,10 @@ def zero_one_points_of_affine_hull(polytope):
         ok = True
         for row, c in zip(reduced, pivots):
             v = row[-1] - sum(row[j] * point[j] for j in free)
-            if v != 0 and v != 1:
+            if v != 0 and v != d:
                 ok = False
                 break
-            point[c] = int(v)
+            point[c] = v // d
         if ok:
             out.append(tuple(point))
     return sorted(out)

@@ -19,7 +19,7 @@ from itertools import chain, combinations, product
 
 from .compressed import is_compressed
 from .cutpoly import Graph, cut_polytope, cut_vectors, has_minor, max_induced_cycle
-from .linalg import matrix_rank, solve_rational
+from .linalg import matrix_rank, solve_fraction_free
 from .polytope import LatticePolytope
 
 DEFAULT_COLUMN_CAP = 512
@@ -306,17 +306,14 @@ def covariance_check(complex_, d=None):
         if matrix_rank(cand) > len(rows):
             rows = cand
             frame.append((cut, col))
-    ncols = len(pairs[0][1])
-    maps = []
-    for j in range(ncols):
-        sol = solve_rational([list(r) for r in rows], [col[j] for _, col in frame])
-        if sol is None:
-            return False
-        maps.append(sol)
+    solved = solve_fraction_free(rows, [col for _, col in frame])
+    if solved is None:
+        return False
+    x, d = solved
     for cut, col in pairs:
         vec = (1,) + cut
-        for j in range(ncols):
-            if sum(maps[j][k] * vec[k] for k in range(len(vec))) != col[j]:
+        for j in range(len(col)):
+            if sum(x[k][j] * vec[k] for k in range(len(vec))) != d * col[j]:
                 return False
     return True
 

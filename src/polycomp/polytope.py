@@ -23,6 +23,7 @@ from .linalg import (
     AffineLattice,
     affine_lattice_of,
     dot,
+    hermite_normal_form,
     hnf_basis,
     identity_matrix,
     integer_kernel,
@@ -31,7 +32,6 @@ from .linalg import (
     primitive,
     rref,
     saturate_rows,
-    solve_integer,
     vsub,
 )
 
@@ -73,7 +73,7 @@ def _project_to_pivot_coords(points):
     """
     base = points[0]
     diffs = [vsub(p, base) for p in points[1:]]
-    _, pivots = rref([[Fraction(x) for x in row] for row in diffs])
+    _, pivots, _ = rref(diffs)
     return [tuple(p[c] for c in pivots) for p in points], len(pivots)
 
 
@@ -138,10 +138,10 @@ def _facets_dd(points, dim):
     n = len(rows)
     width = dim + 1
     augmented = [
-        [Fraction(row[k]) for row in rows] + [Fraction(int(k == j)) for j in range(width)]
+        [row[k] for row in rows] + [int(k == j) for j in range(width)]
         for k in range(width)
     ]
-    reduced, pivots = rref(augmented)
+    reduced, pivots, _ = rref(augmented)
     if pivots[-1] >= n:
         raise ValueError("rows do not have full rank")
     start_set = set(pivots)
@@ -151,10 +151,7 @@ def _facets_dd(points, dim):
     masks = []
     values = []
     for i, red in zip(pivots, reduced):
-        scale = 1
-        for x in red[n:]:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        ray = primitive(tuple(int(x * scale) for x in red[n:]))
+        ray = primitive(red[n:])
         rays.append(ray)
         masks.append(start_mask & ~(1 << i))
         values.append([dot(row, ray) for row in rows])
@@ -343,35 +340,53 @@ class LatticePolytope:
         return self._facets
 
     def _lift_data(self):
-        """Per-polytope invariants for lifting hull-coordinate inequalities."""
+        """Per-polytope invariants for lifting hull-coordinate inequalities.
+
+        With ``U @ B^T == H`` the HNF of the transposed hull basis ``B``, the
+        first ``dim`` rows of H are the image lattice ``B @ Z^ambient`` in
+        canonical form, the rows of U behind them map onto those rows, and
+        the remaining rows of U span the integer kernel of B.
+        """
         if self._lift_cache is None:
             basis = self.hull_lattice.basis
-            columns = [tuple(row[j] for row in basis) for j in range(self.ambient_dim)]
-            image = hnf_basis(columns)
-            kernel = integer_kernel([list(row) for row in basis])
-            self._lift_cache = (image, kernel)
+            columns = [[row[j] for row in basis] for j in range(self.ambient_dim)]
+            h, u = hermite_normal_form(columns)
+            image = [(next(j for j, x in enumerate(row) if x), row) for row in h[:self.dim]]
+            kernel = hnf_basis(u[self.dim:])
+            self._lift_cache = (image, u[:self.dim], kernel)
         return self._lift_cache
 
     def _lift_facet(self, g, h, tight, slacks):
         """Canonical ambient integer form of a hull-coordinate facet.
 
-        Solves basis @ a = s*g for the minimal positive integer s, then
-        reduces a canonically modulo the integer kernel of the basis map, so
-        equal facets always print identically.
+        Finds the minimal positive integer s with s*g in the image lattice
+        by forward substitution along the image rows' pivots, scaling s, the
+        residual and the coordinates y found so far whenever a pivot does
+        not divide the residual.  Then ``a = y @ U`` solves basis @ a = s*g,
+        and a is reduced canonically modulo the integer kernel of the basis
+        map, so equal facets always print identically.
         """
-        basis = self.hull_lattice.basis
-        if not basis:
+        if not self.hull_lattice.basis:
             raise ValueError("a 0-dimensional polytope has no facets")
-        image, kernel = self._lift_data()
-        residual = [Fraction(x) for x in g]
+        image, transform, kernel = self._lift_data()
+        residual = list(g)
         s = 1
-        for row in image:
-            c = next(j for j, x in enumerate(row) if x)
-            q = residual[c] / row[c]
-            s = s * q.denominator // gcd(s, q.denominator)
-            residual = [r - q * x for r, x in zip(residual, row)]
-        target = [s * x for x in g]
-        a = solve_integer([list(row) for row in basis], target)
+        y = []
+        for c, row in image:
+            p = row[c]
+            if residual[c] % p:
+                f = p // gcd(residual[c], p)
+                s *= f
+                residual = [f * r for r in residual]
+                y = [f * q for q in y]
+            q = residual[c] // p
+            y.append(q)
+            if q:
+                residual = [r - q * x for r, x in zip(residual, row)]
+        a = [0] * self.ambient_dim
+        for q, urow in zip(y, transform):
+            if q:
+                a = [x + q * v for x, v in zip(a, urow)]
         a = _reduce_mod_rows(a, kernel)
         b = s * h + dot(a, self.hull_lattice.anchor)
         return FacetIneq(normal=a, offset=b, lattice_normal=tuple(g),

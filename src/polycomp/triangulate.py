@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .linalg import determinant, dot, matrix_rank, vsub
+from .linalg import determinant, dot, matrix_rank, solve_fraction_free, vsub
 from .polytope import PointConfiguration
 
 DEFAULT_ORDERING_CAP = 9
@@ -216,26 +216,22 @@ class _SymmetrySearch:
         return frame
 
     def _verify(self, frame, images):
-        from .linalg import solve_rational
-
         base = self.coords[frame[0]]
         ibase = self.coords[images[0]]
         rows = [vsub(self.coords[f], base) for f in frame[1:]]
         img_rows = [vsub(self.coords[i], ibase) for i in images[1:]]
+        solved = solve_fraction_free(rows, img_rows)
+        if solved is None:
+            return False
+        x, d = solved
         dim = len(base)
-        cols = []
-        for j in range(dim):
-            col = solve_rational(rows, [r[j] for r in img_rows])
-            if col is None:
-                return False
-            cols.append(col)
         mapped = set()
         for z in self.coords:
             v = vsub(z, base)
-            w = [sum(v[i] * cols[j][i] for i in range(dim)) for j in range(dim)]
-            if any(x.denominator != 1 for x in w):
+            w = [sum(v[i] * x[i][j] for i in range(dim)) for j in range(dim)]
+            if any(t % d for t in w):
                 return False
-            mapped.add(tuple(int(x) + b for x, b in zip(w, ibase)))
+            mapped.add(tuple(t // d + b for t, b in zip(w, ibase)))
         return mapped == self.coord_set
 
     def maps_to(self, frame, target):

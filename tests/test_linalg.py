@@ -3,22 +3,22 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomp.linalg import (
     AffineLattice,
     affine_lattice_of,
-    affine_rank,
     determinant,
     hermite_normal_form,
     hnf_basis,
     integer_kernel,
-    mat_mul,
     matrix_rank,
     nullspace_rational,
     primitive,
     rref,
     saturate_rows,
-    solve_integer,
+    solve_fraction_free,
     solve_rational,
 )
 
@@ -94,7 +94,7 @@ def test_hnf_transform_is_unimodular_and_exact():
         ncols = rng.randint(1, 5)
         m = [[rng.randint(-20, 20) for _ in range(ncols)] for _ in range(nrows)]
         h, u = hermite_normal_form(m)
-        assert mat_mul(u, m) == h
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in u] == h
         assert abs(determinant(u)) == 1
         # pivots positive, entries above a pivot reduced
         pivot_cols = []
@@ -176,24 +176,6 @@ def test_integer_kernel_is_saturated():
     assert integer_kernel([[2, 2]]) == [(1, -1)]
 
 
-def test_solve_integer_roundtrip():
-    rng = random.Random(5)
-    for _ in range(50):
-        nrows = rng.randint(1, 4)
-        ncols = rng.randint(1, 4)
-        a = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        x = [rng.randint(-4, 4) for _ in range(ncols)]
-        b = [sum(a[i][j] * x[j] for j in range(ncols)) for i in range(nrows)]
-        sol = solve_integer(a, b)
-        assert sol is not None
-        assert [sum(a[i][j] * sol[j] for j in range(ncols)) for i in range(nrows)] == b
-
-
-def test_solve_integer_detects_nonintegral():
-    assert solve_integer([[2]], [1]) is None
-    assert solve_integer([[1, 0], [0, 0]], [0, 1]) is None
-
-
 def test_solve_rational_and_nullspace():
     sol = solve_rational([[1, 1, 1], [0, 1, 2]], [1, 1])
     assert sol is not None
@@ -206,18 +188,108 @@ def test_solve_rational_and_nullspace():
     assert v[0] + v[1] + v[2] == 0 and v[1] + 2 * v[2] == 0
 
 
+def fraction_rref(rows):
+    """Gauss-Jordan over Fraction: the reference the fraction-free rref must match."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
 def test_rref_pivots():
-    reduced, pivots = rref([[Fraction(0), Fraction(2)], [Fraction(1), Fraction(1)]])
-    assert pivots == [0, 1]
-    assert reduced == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert rref([[0, 2], [1, 1]]) == ([[2, 0], [0, 2]], [0, 1], 2)
+    # a negative last pivot flips the sign of d and E
+    assert rref([[-3, 1]]) == ([[3, -1]], [0], 3)
+    assert rref([[0, 0], [0, 0]]) == ([], [], 1)
+    assert rref([]) == ([], [], 1)
+    with pytest.raises(TypeError):
+        rref([[Fraction(1, 2)]])
+
+
+# small entries with extra weight on 0 and -1 give zero rows and columns,
+# rank deficiency and negative pivots often
+_entries = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-9, 9))
+_matrices = st.integers(1, 7).flatmap(
+    lambda nrows: st.integers(1, 8).flatmap(
+        lambda ncols: st.lists(
+            st.lists(_entries, min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows,
+        )
+    )
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_matrices)
+def test_rref_matches_fraction_gauss_jordan(rows):
+    reduced, pivots, d = rref(rows)
+    expected, expected_pivots = fraction_rref(rows)
+    assert d > 0
+    assert pivots == expected_pivots
+    assert [[Fraction(x, d) for x in row] for row in reduced] == expected
+    assert matrix_rank(rows) == len(expected_pivots)
+
+
+def fraction_solve(rows, b):
+    """One solution of rows @ x == b with free unknowns 0, or None: the reference."""
+    ncols = len(rows[0])
+    reduced, pivots = fraction_rref([list(row) + [v] for row, v in zip(rows, b)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[-1]
+    return x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_matrices, st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
+def test_solve_fraction_free_matches_columnwise_solves(rows, width, consistent, rng):
+    ncols = len(rows[0])
+    if consistent:
+        x0 = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(ncols)]
+        rhs = [[sum(row[k] * x0[k][j] for k in range(ncols)) for j in range(width)]
+               for row in rows]
+    else:
+        rhs = [[rng.randint(-3, 3) for _ in range(width)] for _ in rows]
+    expected = [fraction_solve(rows, [r[j] for r in rhs]) for j in range(width)]
+    solved = solve_fraction_free(rows, rhs)
+    if any(col is None for col in expected):
+        assert solved is None
+        return
+    x, d = solved
+    assert d > 0
+    for j, col in enumerate(expected):
+        assert [Fraction(x[k][j], d) for k in range(ncols)] == col
+        assert solve_rational(rows, [r[j] for r in rhs]) == col
+
+
+def test_solve_rational_accepts_rational_entries():
+    sol = solve_rational([[Fraction(1, 2), 1], [0, Fraction(1, 3)]], [1, Fraction(2, 3)])
+    assert sol == [Fraction(-2), Fraction(2)]
 
 
 def test_primitive_and_ranks():
     assert primitive((2, -4, 6)) == (1, -2, 3)
     assert primitive((0, 0)) == (0, 0)
-    assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
-    assert affine_rank([(5, 5)]) == 0
-    assert affine_rank([]) == -1
+    assert matrix_rank([(1, 0), (0, 1), (1, 1)]) == 2
+    assert matrix_rank([(0, 0)]) == 0
+    assert matrix_rank([]) == 0
 
 
 def test_saturate_rows():

@@ -3,13 +3,24 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from polycomp.linalg import AffineLattice, matrix_rank, standard_lattice, vsub
+from polycomp.cutpoly import complete_graph, cut_polytope
+from polycomp.linalg import (
+    AffineLattice,
+    dot,
+    hnf_basis,
+    integer_kernel,
+    matrix_rank,
+    standard_lattice,
+    vsub,
+)
+from polycomp.margins import boundary_of_simplex, marginal_matrix, marginal_polytope
 from polycomp.polytope import (
     LatticePolytope,
     PointConfiguration,
     _facets_bruteforce,
     _facets_dd,
     _project_to_pivot_coords,
+    _reduce_mod_rows,
     affine_hull_equations,
     face_of,
     facet_enumeration,
@@ -132,6 +143,61 @@ def test_dd_matches_bruteforce_on_pulling_face_splits(points):
 def test_dd_rejects_rank_deficient_rows():
     with pytest.raises(ValueError):
         _facets_dd([(0, 0), (1, 1), (2, 2)], 2)
+
+
+def prime_factors(n):
+    out = set()
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+LIFT_CORPUS = {
+    "cut-k4-in-ZE": lambda: cut_polytope(complete_graph(4)),
+    "index-2-sublattice": lambda: LatticePolytope([(0, 0), (2, 0), (0, 2), (1, 1), (3, 1)]),
+    # a facet whose residual shares a factor 2 with an image pivot 4
+    "index-8-sublattice": lambda: LatticePolytope([(0, 0), (2, -2), (0, 4), (-2, -2)]),
+    "bd-2-2-3": lambda: marginal_polytope(marginal_matrix(boundary_of_simplex(3), (2, 2, 3))),
+    "birkhoff-b3": lambda: LatticePolytope(
+        [tuple(int(perm[i] == j) for i in range(3) for j in range(3))
+         for perm in permutations(range(3))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CORPUS))
+def test_lifted_facets_are_minimal_integer_solutions(name):
+    # each lifted normal a solves basis @ a == s * g for the least s > 0 that
+    # puts s * g into the image lattice of the basis map, and a is reduced
+    # modulo the integer kernel of that map
+    poly = LIFT_CORPUS[name]()
+    basis = poly.hull_lattice.basis
+    columns = [tuple(row[j] for row in basis) for j in range(poly.ambient_dim)]
+    image = AffineLattice((0,) * poly.dim, tuple(hnf_basis(columns)))
+    kernel = integer_kernel([list(row) for row in basis])
+    scales = set()
+    for facet in poly.facets():
+        g = facet.lattice_normal
+        image_of_a = [dot(row, facet.normal) for row in basis]
+        c = next(j for j, x in enumerate(g) if x)
+        s = image_of_a[c] // g[c]
+        assert s > 0
+        assert image_of_a == [s * x for x in g]
+        assert image.contains(tuple(s * x for x in g))
+        for p in prime_factors(s):
+            assert not image.contains(tuple(s // p * x for x in g))
+        assert _reduce_mod_rows(facet.normal, kernel) == facet.normal
+        assert facet.offset == s * facet.lattice_offset + dot(facet.normal,
+                                                               poly.hull_lattice.anchor)
+        scales.add(s)
+    expected_scales = {"index-2-sublattice": {1, 2}, "index-8-sublattice": {2, 4}}
+    if name in expected_scales:
+        assert scales == expected_scales[name]
 
 
 def test_lattice_points_segment_with_explicit_lattice():
