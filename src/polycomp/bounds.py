@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 from math import gcd
 
@@ -60,9 +61,9 @@ class StandardFormProgram:
     def ncols(self):
         return len(self.matrix[0])
 
-    @property
+    @cached_property
     def budget(self):
-        """w.rhs: the exact 1-norm of every feasible point."""
+        """w.rhs: the exact 1-norm of every feasible point, computed once."""
         return sum(Fraction(w) * r for w, r in zip(self.weight, self.rhs))
 
 
@@ -155,15 +156,18 @@ def _fill_exact(columns, target, budget):
     return None
 
 
-def ip_max(program, minimize=False):
+def ip_max(program, minimize=False, lp=None):
     """Exact integer optimum by downward scan over the objective value.
 
     Fixing x_i = t leaves a residual that must be an exact nonnegative
     integer combination of the other columns using the remaining budget; the
     first feasible t below the LP bound is optimal.  LP-infeasibility and
-    integer-infeasibility are reported apart.
+    integer-infeasibility are reported apart.  ``lp`` is the caller's
+    ``lp_max(program, minimize=minimize)`` outcome, so a caller that already
+    holds it does not solve the LP again.
     """
-    lp = lp_max(program, minimize=minimize)
+    if lp is None:
+        lp = lp_max(program, minimize=minimize)
     if lp.status == "infeasible":
         return IPOutcome("infeasible", None, None, reason="lp-infeasible")
     budget = program.budget
@@ -226,7 +230,7 @@ def lp_ip_equal_all(a, budget, cells=None):
         for i in cells:
             program = make_program(a, b, i)
             lp = lp_max(program)
-            ip = ip_max(program)
+            ip = ip_max(program, lp=lp)
             if lp.status != "optimal" or ip.status != "optimal":
                 raise RuntimeError(f"column sum {b} must be LP- and IP-feasible")
             if lp.value != ip.value:
@@ -287,7 +291,7 @@ def gap_witness(a, kernel_radius=3):
         b = [r - c for r, c in zip(b, columns[mid])]
         program = make_program(a, b, top)
         lp = lp_max(program)
-        ip = ip_max(program)
+        ip = ip_max(program, lp=lp)
         if lp.status != "optimal" or ip.status != "optimal":
             return None
         if lp.value > ip.value:

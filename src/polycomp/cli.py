@@ -136,7 +136,7 @@ def cmd_bounds(args):
     except ValueError as exc:
         raise InputError(str(exc))
     lp = lp_max(program, minimize=args.minimize)
-    ip = ip_max(program, minimize=args.minimize)
+    ip = ip_max(program, minimize=args.minimize, lp=lp)
     payload = {"cell": cell, "direction": "min" if args.minimize else "max"}
     if lp.status == "optimal":
         payload["lp"] = format_rational(lp.value)

@@ -1,15 +1,24 @@
-"""Exact simplex method over the rationals.
+"""Exact simplex method over the rationals, on an integer tableau.
 
 Two-phase tableau simplex for standard-form programs ``max c.x : A x = b,
-x >= 0`` with Fraction arithmetic throughout and Bland's rule for both the
-entering and the leaving variable, so cycling is impossible and every
-reported optimum is exact.
+x >= 0`` with Bland's rule for both the entering and the leaving variable,
+so cycling is impossible and every reported optimum is exact.
+
+The tableau is fraction-free (Edmonds 1967): an integer matrix ``M`` with
+one positive common denominator ``D`` stands for ``M / D``.  A pivot on
+``(r, c)`` with ``p = M[r][c]`` sets ``M[i] = (p * M[i] - M[i][c] * M[r]) // D``
+for every other row and then ``D = p``, after negating row ``r`` when
+``p < 0``.  ``D`` is the absolute determinant of the current basis, so every
+division is exact (Bareiss 1968).  Comparisons divide nothing: signs are
+read off ``M`` and ratios are compared by cross-multiplication.  Fractions
+are built only for the returned value and solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -19,47 +28,64 @@ class LPResult:
     solution: tuple | None
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
+def _pivot(tableau, basis, row, col, d):
+    """Pivot the integer tableau on (row, col); returns the new denominator."""
+    top = tableau[row]
+    p = top[col]
+    if p < 0:
+        top = tableau[row] = [-x for x in top]
+        p = -p
     for i, tr in enumerate(tableau):
-        if i != row and tr[col]:
-            f = tr[col]
-            tableau[i] = [x - f * y for x, y in zip(tr, tableau[row])]
+        if i == row:
+            continue
+        f = tr[col]
+        if f:
+            tableau[i] = [(p * x - f * y) // d for x, y in zip(tr, top)]
+        elif p != d:
+            tableau[i] = [p * x // d for x in tr]
     basis[row] = col
+    return p
 
 
-def _run_simplex(tableau, basis, ncols):
-    """Maximize the objective stored in the last tableau row (Bland's rule)."""
+def _run_simplex(tableau, basis, ncols, d):
+    """Maximize the objective stored in the last tableau row (Bland's rule).
+
+    Returns the status and the final denominator.
+    """
     m = len(tableau) - 1
     while True:
         obj = tableau[m]
         col = next((j for j in range(ncols) if obj[j] > 0), None)
         if col is None:
-            return "optimal"
+            return "optimal", d
         best = None
         for i in range(m):
             a = tableau[i][col]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
+                if best is None:
+                    best, num, den = i, tableau[i][-1], a
+                    continue
+                # tableau[i][-1] / a against num / den, both denominators > 0
+                lhs, rhs = tableau[i][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, num, den = i, tableau[i][-1], a
         if best is None:
-            return "unbounded"
-        _pivot(tableau, basis, best[1], col)
+            return "unbounded", d
+        d = _pivot(tableau, basis, best, col, d)
 
 
 def solve_standard_form(a, b, c):
     """Solve ``max c.x  s.t.  a x = b, x >= 0`` exactly.
 
-    Returns an LPResult; on "optimal" the solution attains the value exactly.
+    Entries must be ints: a Fraction raises TypeError rather than being
+    truncated.  Returns an LPResult; on "optimal" the solution attains the
+    value exactly.
     """
     m = len(a)
     n = len(a[0]) if m else len(c)
-    rows = [[Fraction(x) for x in row] for row in a]
-    rhs = [Fraction(x) for x in b]
+    rows = [list(map(index, row)) for row in a]
+    rhs = list(map(index, b))
+    c = list(map(index, c))
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = [-x for x in rows[i]]
@@ -69,21 +95,17 @@ def solve_standard_form(a, b, c):
     ncols = n + m
     tableau = []
     for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
+        art = [0] * m
+        art[i] = 1
         tableau.append(rows[i] + art + [rhs[i]])
-    obj = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        for j in range(n):
-            obj[j] += tableau[i][j]
-        obj[ncols] += tableau[i][-1]
     # maximize -(sum of artificials) == row sums over the original columns
-    tableau.append(obj)
+    obj = [sum(col) for col in zip(*rows)] if m else [0] * n
+    tableau.append(obj + [0] * m + [sum(rhs)])
     basis = [n + i for i in range(m)]
-    status = _run_simplex(tableau, basis, ncols)
+    status, d = _run_simplex(tableau, basis, ncols, 1)
     if status != "optimal":
         raise RuntimeError(f"phase 1 returned {status!r}; it is always bounded")
-    if tableau[m][-1] != 0:
+    if tableau.pop()[-1] != 0:
         return LPResult("infeasible", None, None)
 
     # drive leftover artificials out of the basis, dropping redundant rows
@@ -95,26 +117,25 @@ def solve_standard_form(a, b, c):
         col = next((j for j in range(n) if tableau[i][j] != 0), None)
         if col is None:
             continue  # redundant constraint
-        _pivot(tableau, basis, i, col)
+        d = _pivot(tableau, basis, i, col, d)
         keep.append(i)
     tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # phase 2
-    obj = [Fraction(x) for x in c] + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        f = obj[bi]
+    # phase 2: the objective row is d*c - sum of c[basis[i]] * row i
+    obj = [d * x for x in c] + [0]
+    for tr, bi in zip(tableau, basis):
+        f = c[bi]
         if f:
-            obj = [x - f * y for x, y in zip(obj, tableau[i])]
+            obj = [x - f * y for x, y in zip(obj, tr)]
     tableau.append(obj)
-    status = _run_simplex(tableau, basis, n)
+    status, d = _run_simplex(tableau, basis, n, d)
     if status == "unbounded":
         return LPResult("unbounded", None, None)
     solution = [Fraction(0)] * n
-    mm = len(tableau) - 1
-    for i in range(mm):
-        solution[basis[i]] = tableau[i][-1]
-    value = sum(Fraction(ci) * xi for ci, xi in zip(c, solution))
+    for tr, bi in zip(tableau, basis):
+        solution[bi] = Fraction(tr[-1], d)
+    value = Fraction(sum(c[bi] * tr[-1] for tr, bi in zip(tableau, basis)), d)
     return LPResult("optimal", value, tuple(solution))
 
 
@@ -124,19 +145,16 @@ def solve_box_program(equalities, eq_rhs, objective, n, maximize=False):
     Used for checking that inequalities are valid on a cube section.  Returns
     an LPResult in the original variables.
     """
-    rows = []
-    rhs = []
-    for row, val in zip(equalities, eq_rhs):
-        rows.append([Fraction(x) for x in row] + [Fraction(0)] * n)
-        rhs.append(Fraction(val))
+    rows = [list(row) + [0] * n for row in equalities]
+    rhs = list(eq_rhs)
     for j in range(n):
-        slack = [Fraction(0)] * (2 * n)
-        slack[j] = Fraction(1)
-        slack[n + j] = Fraction(1)
+        slack = [0] * (2 * n)
+        slack[j] = 1
+        slack[n + j] = 1
         rows.append(slack)
-        rhs.append(Fraction(1))
+        rhs.append(1)
     sign = 1 if maximize else -1
-    c = [sign * Fraction(x) for x in objective] + [Fraction(0)] * n
+    c = [sign * x for x in objective] + [0] * n
     res = solve_standard_form(rows, rhs, c)
     if res.status != "optimal":
         return res

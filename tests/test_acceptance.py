@@ -35,6 +35,8 @@ from polycomp.margins import (
 from polycomp.polytope import LatticePolytope
 from polycomp.triangulate import all_pulling_unimodular
 
+from conftest import birkhoff
+
 
 class criterion:
     """Times a criterion body and prints its pass/fail line."""
@@ -58,16 +60,6 @@ class criterion:
                 f"({elapsed:.1f}s)"
             )
         return False
-
-
-def birkhoff(n):
-    pts = []
-    for perm in permutations(range(n)):
-        mat = [0] * (n * n)
-        for i, j in enumerate(perm):
-            mat[i * n + j] = 1
-        pts.append(tuple(mat))
-    return LatticePolytope(pts)
 
 
 def connected_graphs_up_to_iso(n):

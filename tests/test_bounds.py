@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import polycomp.bounds as bounds
 from polycomp.bounds import (
     GapWitness,
     find_weight,
@@ -15,6 +17,7 @@ from polycomp.bounds import (
     pull_first_unimodular,
 )
 from polycomp.margins import SimplicialComplex, graph_complex, marginal_matrix
+from polycomp.cli import main
 from polycomp.cutpoly import cycle_graph
 
 SEGMENT_MATRIX = [[1, 1, 1], [0, 1, 2]]
@@ -208,3 +211,45 @@ def test_example_matrix_nonnecessity():
     # sweep finds no gap at that cell: the sufficient condition is not needed
     assert pull_first_unimodular(EXAMPLE_MATRIX, 0) is False
     assert lp_ip_equal_all(EXAMPLE_MATRIX, budget=4, cells=[0]).holds
+
+
+def test_ip_max_with_the_callers_lp_matches_its_own():
+    cases = [(SEGMENT_MATRIX, b, i) for b in ((1, 1), (2, 2), (3, 2), (-1, 0)) for i in range(3)]
+    cases += [([[2, 0], [0, 2]], b, i) for b in ((1, 1), (1, 0), (2, 4)) for i in range(2)]
+    reasons = set()
+    for matrix, b, i in cases:
+        p = make_program(matrix, b, i)
+        for minimize in (False, True):
+            own = ip_max(p, minimize=minimize)
+            assert ip_max(p, minimize=minimize, lp=lp_max(p, minimize=minimize)) == own
+            reasons.add(own.reason)
+    assert reasons == {None, "lp-infeasible", "no-integer-point"}
+
+
+def test_one_lp_solve_per_program(monkeypatch, tmp_path):
+    solves = []
+    programs = []
+    solve, make = bounds.solve_standard_form, bounds.make_program
+    monkeypatch.setattr(bounds, "solve_standard_form",
+                        lambda *args: solves.append(args) or solve(*args))
+    monkeypatch.setattr(bounds, "make_program",
+                        lambda *args: programs.append(args) or make(*args))
+
+    model = marginal_matrix(SimplicialComplex(3, ((1, 2), (2, 3))), (2, 2, 2))
+    matrix = [list(r) for r in model.matrix]
+    res = lp_ip_equal_all(matrix, budget=2)
+    assert res.holds
+    assert len(programs) == res.checked_rhs * len(matrix[0])
+    assert len(solves) == len(programs)
+
+    solves.clear()
+    programs.clear()
+    assert gap_witness(SEGMENT_MATRIX) is not None
+    assert programs and len(solves) == len(programs)
+
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps({"matrix": SEGMENT_MATRIX}))
+    for b in ("1,1", "-1,0"):
+        solves.clear()
+        assert main(["bounds", "--matrix", str(path), f"--b={b}", "--cell", "3"]) == 0
+        assert len(solves) == 1

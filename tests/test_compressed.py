@@ -1,4 +1,4 @@
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +14,8 @@ from polycomp.linalg import standard_lattice
 from polycomp.polytope import LatticePolytope
 from polycomp.triangulate import all_pulling_unimodular
 
+from conftest import birkhoff
+
 
 def cut_polytope_raw(n, edges):
     cuts = set()
@@ -21,16 +23,6 @@ def cut_polytope_raw(n, edges):
         s = {i + 1 for i in range(n) if mask >> i & 1}
         cuts.add(tuple(1 if (a in s) != (b in s) else 0 for a, b in edges))
     return LatticePolytope(sorted(cuts), lattice=standard_lattice(len(edges)))
-
-
-def birkhoff(n):
-    pts = []
-    for perm in permutations(range(n)):
-        mat = [0] * (n * n)
-        for i, j in enumerate(perm):
-            mat[i * n + j] = 1
-        pts.append(tuple(mat))
-    return LatticePolytope(pts)
 
 
 SEGMENT_012 = LatticePolytope([(0,), (1,), (2,)])

@@ -1,0 +1,50 @@
+"""Package-level contracts: the module entry point and the source itself."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import polycomp
+
+SRC = Path(polycomp.__file__).resolve().parent
+
+
+def run_module(*argv, cwd):
+    return subprocess.run(
+        [sys.executable, "-m", "polycomp", *argv],
+        capture_output=True, text=True, cwd=cwd, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+
+
+def test_python_m_polycomp_help(tmp_path):
+    res = run_module("--help", cwd=tmp_path)
+    assert res.returncode == 0
+    assert res.stdout.startswith("usage: polycomp")
+
+
+def test_python_m_polycomp_malformed_input_exits_2(tmp_path):
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps({"matrix": [[1, 1, 1], [0, 1, 2]]}))
+    res = run_module("bounds", "--matrix", str(path), "--b", "1,x", "--cell", "1",
+                     cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --b")
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants must raise: ``python -O`` strips assert statements
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

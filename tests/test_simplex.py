@@ -1,7 +1,159 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
-from polycomp.simplex import solve_box_program, solve_standard_form
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polycomp import simplex
+from polycomp.simplex import LPResult, solve_box_program, solve_standard_form
+
+
+def _fraction_pivot(tableau, basis, row, col, trail):
+    trail.append((row, col))
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    for i, tr in enumerate(tableau):
+        if i != row and tr[col]:
+            f = tr[col]
+            tableau[i] = [x - f * y for x, y in zip(tr, tableau[row])]
+    basis[row] = col
+
+
+def _fraction_run(tableau, basis, ncols, trail):
+    m = len(tableau) - 1
+    while True:
+        obj = tableau[m]
+        col = next((j for j in range(ncols) if obj[j] > 0), None)
+        if col is None:
+            return "optimal"
+        best = None
+        for i in range(m):
+            a = tableau[i][col]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        if best is None:
+            return "unbounded"
+        _fraction_pivot(tableau, basis, best[1], col, trail)
+
+
+def fraction_simplex(a, b, c, trail):
+    """Two-phase Bland simplex on a Fraction tableau: the reference.
+
+    Same algorithm as ``solve_standard_form`` (artificials on every row,
+    leftover artificials driven out, redundant rows dropped), with every
+    entry a Fraction and every pivot a division.  Appends each pivot's
+    (row, column) to ``trail``.
+    """
+    m = len(a)
+    n = len(a[0]) if m else len(c)
+    rows = [[Fraction(x) for x in row] for row in a]
+    rhs = [Fraction(x) for x in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    ncols = n + m
+    tableau = []
+    for i in range(m):
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tableau.append(rows[i] + art + [rhs[i]])
+    obj = [Fraction(0)] * (ncols + 1)
+    for i in range(m):
+        for j in range(n):
+            obj[j] += tableau[i][j]
+        obj[ncols] += tableau[i][-1]
+    tableau.append(obj)
+    basis = [n + i for i in range(m)]
+    assert _fraction_run(tableau, basis, ncols, trail) == "optimal"
+    if tableau[m][-1] != 0:
+        return LPResult("infeasible", None, None)
+    keep = []
+    for i in range(m):
+        if basis[i] < n:
+            keep.append(i)
+            continue
+        col = next((j for j in range(n) if tableau[i][j] != 0), None)
+        if col is None:
+            continue
+        _fraction_pivot(tableau, basis, i, col, trail)
+        keep.append(i)
+    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj = [Fraction(x) for x in c] + [Fraction(0)]
+    for i, bi in enumerate(basis):
+        f = obj[bi]
+        if f:
+            obj = [x - f * y for x, y in zip(obj, tableau[i])]
+    tableau.append(obj)
+    if _fraction_run(tableau, basis, n, trail) == "unbounded":
+        return LPResult("unbounded", None, None)
+    solution = [Fraction(0)] * n
+    for i in range(len(tableau) - 1):
+        solution[basis[i]] = tableau[i][-1]
+    value = sum(Fraction(ci) * xi for ci, xi in zip(c, solution))
+    return LPResult("optimal", value, tuple(solution))
+
+
+@st.composite
+def _programs(draw):
+    """Small integer programs, with the degenerate shapes drawn often:
+    negative right-hand sides, duplicated and scaled rows, and both
+    feasible (b = A x0 for x0 >= 0) and arbitrary right-hand sides, which
+    are often infeasible.  Free objectives make unbounded programs."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 7))
+    entry = st.integers(-3, 3)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, 2), min_size=ncols, max_size=ncols))
+        b = [sum(r * x for r, x in zip(row, x0)) for row in rows]
+    else:
+        b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        scale = draw(st.sampled_from([1, 1, 2, -1, -2, 3]))
+        rows.append([scale * x for x in rows[k]])
+        b.append(scale * b[k])
+    c = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    return rows, b, c
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_programs())
+def test_integer_tableau_matches_fraction_tableau(program):
+    a, b, c = program
+    trail, expected_trail = [], []
+    pivot = simplex._pivot
+
+    def recording_pivot(tableau, basis, row, col, d):
+        trail.append((row, col))
+        return pivot(tableau, basis, row, col, d)
+
+    with mock.patch.object(simplex, "_pivot", recording_pivot):
+        res = solve_standard_form(a, b, c)
+    expected = fraction_simplex(a, b, c, expected_trail)
+    assert res == expected
+    # the same pivots, so the same vertex on degenerate ties
+    assert trail == expected_trail
+    if res.status == "optimal":
+        assert isinstance(res.value, Fraction)
+        assert all(isinstance(x, Fraction) for x in res.solution)
+
+
+def test_fraction_entries_raise_type_error():
+    with pytest.raises(TypeError):
+        solve_standard_form([[Fraction(1, 2), 1]], [1], [1, 0])
+    with pytest.raises(TypeError):
+        solve_standard_form([[1, 1]], [Fraction(1, 2)], [1, 0])
+    with pytest.raises(TypeError):
+        solve_standard_form([[1, 1]], [1], [Fraction(1, 2), 0])
 
 
 def test_optimal_basic():

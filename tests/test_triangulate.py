@@ -19,6 +19,8 @@ from polycomp.triangulate import (
     triangulation_volumes,
 )
 
+from conftest import birkhoff
+
 SEGMENT = LatticePolytope([(0,), (1,), (2,)])  # lattice Z, points 0,1,2
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -33,16 +35,6 @@ def cut_vectors(n, edges):
 
 def cut_polytope_raw(n, edges):
     return LatticePolytope(cut_vectors(n, edges), lattice=standard_lattice(len(edges)))
-
-
-def birkhoff(n):
-    pts = []
-    for perm in permutations(range(n)):
-        mat = [0] * (n * n)
-        for i, j in enumerate(perm):
-            mat[i * n + j] = 1
-        pts.append(tuple(mat))
-    return LatticePolytope(pts)
 
 
 def test_pulling_segment_natural_order():
