@@ -26,9 +26,7 @@ from .compressed import is_compressed
 from .linalg import affine_lattice_of, solve_rational
 from .polytope import LatticePolytope, PointConfiguration
 from .simplex import solve_standard_form
-from .triangulate import _first_nonunimodular_cell, pulling_triangulation_of
-
-PULL_FIRST_COLUMN_CAP = 9
+from .triangulate import DEFAULT_ORDERING_CAP, each_pulling_unimodular
 
 
 def matrix_columns(a):
@@ -356,12 +354,13 @@ def gap_witness(a, kernel_radius=3):
     )
 
 
-def pull_first_unimodular(a, objective_index, cap=PULL_FIRST_COLUMN_CAP):
+def pull_first_unimodular(a, objective_index, cap=DEFAULT_ORDERING_CAP):
     """Whether some column ordering starting at the objective column induces a
     unimodular pulling triangulation of the column polytope.
 
     The triangulation uses only the columns as points, against the lattice
-    they span.  All (n-1)! tail orderings are tried with early exit.
+    they span.  All (n-1)! tail orderings go through
+    ``triangulate.each_pulling_unimodular``, with early exit.
     """
     columns = matrix_columns(a)
     if len(set(columns)) != len(columns):
@@ -373,10 +372,6 @@ def pull_first_unimodular(a, objective_index, cap=PULL_FIRST_COLUMN_CAP):
         raise ValueError(f"{n} columns exceed the ordering cap {cap}")
     lattice = affine_lattice_of(columns)
     coords = [lattice.coords(c) for c in columns]
-    config = PointConfiguration(columns)
     rest = [j for j in range(n) if j != objective_index]
-    for tail in permutations(rest):
-        tri = pulling_triangulation_of(config, (objective_index,) + tail)
-        if _first_nonunimodular_cell(coords, tri.simplices) is None:
-            return True
-    return False
+    orders = ((objective_index,) + tail for tail in permutations(rest))
+    return any(each_pulling_unimodular(PointConfiguration(columns), coords, orders))

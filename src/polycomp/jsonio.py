@@ -78,20 +78,20 @@ def polytope_from_json(data):
         raise InputError('polytope: expected an object with a "points" key')
     points = parse_point_list(data["points"])
     spec = data.get("lattice", "auto")
-    if spec == "auto":
-        lattice = None
-    elif spec == "ambient":
-        lattice = standard_lattice(len(points[0]))
-    elif isinstance(spec, dict):
-        anchor = tuple(parse_integer(x, "lattice.anchor") for x in spec.get("anchor", []))
-        basis = tuple(
-            tuple(parse_integer(x, "lattice.basis") for x in row)
-            for row in spec.get("basis", [])
-        )
-        lattice = AffineLattice(anchor, basis)
-    else:
-        raise InputError(f"polytope: unsupported lattice spec {spec!r}")
     try:
+        if spec == "auto":
+            lattice = None
+        elif spec == "ambient":
+            lattice = standard_lattice(len(points[0]))
+        elif isinstance(spec, dict):
+            anchor = tuple(parse_integer(x, "lattice.anchor") for x in spec.get("anchor", []))
+            basis = tuple(
+                tuple(parse_integer(x, "lattice.basis") for x in row)
+                for row in spec.get("basis", [])
+            )
+            lattice = AffineLattice(anchor, basis)
+        else:
+            raise InputError(f"polytope: unsupported lattice spec {spec!r}")
         return LatticePolytope(points, lattice=lattice)
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -265,6 +265,8 @@ class AffineLattice:
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", tuple(int(x) for x in self.anchor))
+        if any(len(row) != len(self.anchor) for row in self.basis):
+            raise ValueError("lattice basis rows must have the anchor's width")
         rows = hnf_basis([tuple(int(x) for x in row) for row in self.basis])
         if len(rows) != len(self.basis):
             raise ValueError("lattice basis rows must be linearly independent")

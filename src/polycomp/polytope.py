@@ -300,19 +300,12 @@ class LatticePolytope:
         self.generators = tuple(pts)
         self.ambient_dim = len(pts[0])
         self.lattice = lattice if lattice is not None else affine_lattice_of(pts)
+        if self.lattice.ambient_dim != self.ambient_dim:
+            raise ValueError("the lattice and the points must share one ambient dimension")
         for p in pts:
             if not self.lattice.contains(p):
                 raise ValueError(f"generator {p} is not in the declared lattice")
-        zdiffs = [self.lattice.coords(p) for p in pts]
-        anchor_z = zdiffs[0]
-        zdiffs = [vsub(z, anchor_z) for z in zdiffs]
-        sat = saturate_rows(zdiffs, self.lattice.dim)
-        basis = [
-            tuple(sum(s[i] * self.lattice.basis[i][j] for i in range(len(s)))
-                  for j in range(self.ambient_dim))
-            for s in sat
-        ]
-        self.hull_lattice = AffineLattice(pts[0], tuple(basis))
+        self.hull_lattice = sublattice_through(self.lattice, pts)
         self.dim = self.hull_lattice.dim
         self._pts_m = tuple(self.hull_lattice.coords(p) for p in pts)
         self._facets = None

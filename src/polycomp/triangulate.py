@@ -7,16 +7,21 @@ do not contain it, each facet keeping the induced ordering.
 
 Volumes are normalized against the affine lattice spanned by the point list
 itself, so a simplex is unimodular exactly when its edge determinant is +-1
-in those coordinates.  ``all_pulling_unimodular`` brute-forces every ordering
-below a configurable cap; above the cap a vertex-transitive symmetry group
-lets a single ordering decide for all of them, and there is an explicitly
-probabilistic sampling escape hatch.
+in those coordinates.  Every triangulation of one point set has the same
+normalized volume V, and every cell adds at least 1 to it, so a pulling
+triangulation is unimodular exactly when it has V cells:
+``each_pulling_unimodular`` takes determinants for the first ordering only
+and decides every later one by counting cells.  ``all_pulling_unimodular``
+runs it over every ordering below a configurable cap; above the cap a
+vertex-transitive symmetry group lets a single ordering decide for all of
+them, and there is an explicitly probabilistic sampling escape hatch.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import permutations
 
 from .linalg import determinant, dot, matrix_rank, solve_fraction_free, vsub
 from .polytope import PointConfiguration
@@ -104,29 +109,42 @@ def _volume_coords(polytope):
     return [lat.coords(p) for p in polytope.lattice_points()]
 
 
+def _cell_volume(coords, cell):
+    """|det| of the cell's edge vectors over ``coords``: its normalized volume."""
+    return abs(determinant([vsub(coords[i], coords[cell[0]]) for i in cell[1:]]))
+
+
 def triangulation_volumes(polytope, triangulation):
     """Normalized volume of each simplex, against the lattice-point lattice."""
     coords = _volume_coords(polytope)
-    out = []
-    for cell in triangulation.simplices:
-        edges = [vsub(coords[i], coords[cell[0]]) for i in cell[1:]]
-        out.append(abs(determinant(edges)))
-    return out
-
-
-def _first_nonunimodular_cell(coords, cells):
-    """The first cell whose edge determinant over ``coords`` is not +-1, or None."""
-    for cell in cells:
-        edges = [vsub(coords[i], coords[cell[0]]) for i in cell[1:]]
-        if abs(determinant(edges)) != 1:
-            return cell
-    return None
+    return [_cell_volume(coords, cell) for cell in triangulation.simplices]
 
 
 def is_unimodular(polytope, triangulation):
     """(all simplices unimodular?, first offending simplex or None)."""
-    cell = _first_nonunimodular_cell(_volume_coords(polytope), triangulation.simplices)
-    return cell is None, cell
+    coords = _volume_coords(polytope)
+    bad = next((c for c in triangulation.simplices if _cell_volume(coords, c) != 1), None)
+    return bad is None, bad
+
+
+def each_pulling_unimodular(config, coords, orders):
+    """Yield, per ordering in ``orders``, whether its pulling triangulation of
+    ``config`` is unimodular over the integer lattice coordinates ``coords``.
+
+    The cell volumes of the first ordering sum to the normalized volume V of
+    conv(config), which every triangulation of the point set shares, since
+    its cells tile that hull.  A cell is a full-dimensional lattice simplex,
+    so its volume is an integer of at least 1, and a triangulation has at
+    most V cells, with equality exactly when every cell has volume 1.  Each
+    ordering is therefore decided by its cell count; determinants are taken
+    for the first ordering only.
+    """
+    volume = None
+    for order in orders:
+        cells = pulling_triangulation_of(config, order).simplices
+        if volume is None:
+            volume = sum(_cell_volume(coords, cell) for cell in cells)
+        yield len(cells) == volume
 
 
 def total_normalized_volume(polytope):
@@ -297,8 +315,8 @@ def transitive_symmetry_shortcut(polytope):
     orbits = lattice_point_orbits(polytope)
     if len(orbits) != 1:
         return "inapplicable"
-    tri = pulling_triangulation(polytope, range(len(polytope.lattice_points())))
-    ok, _ = is_unimodular(polytope, tri)
+    order = tuple(range(len(polytope.lattice_points())))
+    ok = next(each_pulling_unimodular(polytope.configuration(), _volume_coords(polytope), [order]))
     return "compressed" if ok else "not-compressed"
 
 
@@ -315,42 +333,28 @@ def all_pulling_unimodular(
     first point per orbit needs trying, with all orderings of the rest.
     Above the cap a transitive symmetry group decides with one triangulation;
     otherwise ``allow_sampling`` checks random orderings only (so True is not
-    a certificate) or OrderingCapExceeded is raised.
+    a certificate) or OrderingCapExceeded is raised.  Either way the
+    orderings go through ``each_pulling_unimodular``: the first one's cell
+    volumes sum to the normalized volume V, and a later ordering is
+    unimodular exactly when its triangulation has V cells.
     """
-    pts = polytope.lattice_points()
-    k = len(pts)
-    coords = _volume_coords(polytope)
-    config = polytope.configuration()
-
-    def ordering_ok(order):
-        tri = pulling_triangulation_of(config, order)
-        return _first_nonunimodular_cell(coords, tri.simplices) is None
-
-    if k > cap:
-        verdict = transitive_symmetry_shortcut(polytope)
-        if verdict == "compressed":
-            return True
-        if verdict == "not-compressed":
-            return False
-        if allow_sampling:
-            rng = random.Random(seed)
-            base = list(range(k))
-            for _ in range(samples):
-                rng.shuffle(base)
-                if not ordering_ok(tuple(base)):
-                    return False
-            return True
-        raise OrderingCapExceeded(
-            f"{k} lattice points exceed the ordering cap {cap}; no transitive "
-            "symmetry was found and sampling was not allowed"
+    k = len(polytope.lattice_points())
+    if k <= cap:
+        orders = (
+            (first,) + tail
+            for first in (orbit[0] for orbit in lattice_point_orbits(polytope))
+            for tail in permutations([i for i in range(k) if i != first])
         )
-
-    from itertools import permutations
-
-    first_reps = [orbit[0] for orbit in lattice_point_orbits(polytope)]
-    for first in first_reps:
-        rest = [i for i in range(k) if i != first]
-        for tail in permutations(rest):
-            if not ordering_ok((first,) + tail):
-                return False
-    return True
+    else:
+        verdict = transitive_symmetry_shortcut(polytope)
+        if verdict != "inapplicable":
+            return verdict == "compressed"
+        if not allow_sampling:
+            raise OrderingCapExceeded(
+                f"{k} lattice points exceed the ordering cap {cap}; no transitive "
+                "symmetry was found and sampling was not allowed"
+            )
+        rng = random.Random(seed)
+        base = list(range(k))
+        orders = (rng.shuffle(base) or tuple(base) for _ in range(samples))
+    return all(each_pulling_unimodular(polytope.configuration(), _volume_coords(polytope), orders))

@@ -1,7 +1,8 @@
-"""Constructors shared by several test modules."""
+"""Constructors and references shared by several test modules."""
 
 from itertools import permutations
 
+from polycomp.linalg import determinant, vsub
 from polycomp.polytope import LatticePolytope
 
 
@@ -14,3 +15,11 @@ def birkhoff(n):
             mat[i * n + j] = 1
         pts.append(tuple(mat))
     return LatticePolytope(pts)
+
+
+def per_cell_unimodular(coords, cells):
+    """Reference verdict: every cell's edge determinant over coords is +-1."""
+    return all(
+        abs(determinant([vsub(coords[i], coords[cell[0]]) for i in cell[1:]])) == 1
+        for cell in cells
+    )

@@ -1,8 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycomp.bounds as bounds
 from polycomp.bounds import (
@@ -16,9 +19,14 @@ from polycomp.bounds import (
     matrix_columns,
     pull_first_unimodular,
 )
+from polycomp.linalg import affine_lattice_of
 from polycomp.margins import SimplicialComplex, graph_complex, marginal_matrix
+from polycomp.polytope import PointConfiguration
+from polycomp.triangulate import pulling_triangulation_of
 from polycomp.cli import main
 from polycomp.cutpoly import cycle_graph
+
+from conftest import per_cell_unimodular
 
 SEGMENT_MATRIX = [[1, 1, 1], [0, 1, 2]]
 EXAMPLE_MATRIX = [[1, 1, 1, 1, 1], [0, 0, 1, 2, 3], [1, 0, 0, 0, 0]]
@@ -204,6 +212,31 @@ def test_pull_first_cap_and_validation():
     wide = [[1] * 10, list(range(10))]
     with pytest.raises(ValueError):
         pull_first_unimodular(wide, 0)
+
+
+def brute_pull_first(a, objective_index):
+    """Reference: some ordering from the objective column has every cell's
+    edge determinant equal to +-1."""
+    columns = matrix_columns(a)
+    lattice = affine_lattice_of(columns)
+    coords = [lattice.coords(c) for c in columns]
+    config = PointConfiguration(columns)
+    rest = [j for j in range(len(columns)) if j != objective_index]
+    for tail in permutations(rest):
+        cells = pulling_triangulation_of(config, (objective_index,) + tail).simplices
+        if per_cell_unimodular(coords, cells):
+            return True
+    return False
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda rows: st.lists(
+    st.tuples(*[st.integers(0, 3)] * rows), min_size=2, max_size=6, unique=True)))
+def test_pull_first_unimodular_matches_per_cell_reference(tails):
+    # a top row of ones makes the matrix homogeneous
+    a = [[1] * len(tails)] + [list(row) for row in zip(*tails)]
+    for i in range(len(tails)):
+        assert pull_first_unimodular(a, i) == brute_pull_first(a, i)
 
 
 def test_example_matrix_nonnecessity():

@@ -1,6 +1,8 @@
 import json
 import sys
 
+import pytest
+
 from polycomp.cli import main
 
 SQUARE = {"points": [[0, 0], [1, 0], [0, 1], [1, 1]], "lattice": "auto"}
@@ -184,6 +186,20 @@ def test_sweep_negative_budget_is_input_error(tmp_path, capsys):
 def test_margin_classify_bad_size_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "d1.json", {"n": 2, "facets": [[1, 2]], "d": [1, 3]})
     code, out, err = run(capsys, ["margin-classify", "--model", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("lattice", [
+    {"anchor": [0, 0], "basis": [[1, 0], [2, 0]]},  # dependent basis rows
+    {"anchor": [0], "basis": [[1, 0]]},  # anchor narrower than the basis
+    {"anchor": [0, 0], "basis": [[1]]},  # basis narrower than the anchor
+    {"anchor": [0], "basis": [[1]]},  # a 1-d lattice for 2-d points
+])
+def test_certify_malformed_lattice_is_input_error(tmp_path, capsys, lattice):
+    path = write(tmp_path, "seg.json", {"points": [[0, 0], [1, 0]], "lattice": lattice})
+    code, out, err = run(capsys, ["certify", "--polytope", path])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -3,12 +3,16 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polycomp.linalg import AffineLattice, standard_lattice, vsub
-from polycomp.polytope import LatticePolytope
+import polycomp.triangulate as triangulate
+from polycomp.linalg import AffineLattice, affine_lattice_of, standard_lattice, vsub
+from polycomp.polytope import LatticePolytope, PointConfiguration
 from polycomp.triangulate import (
     OrderingCapExceeded,
     all_pulling_unimodular,
+    each_pulling_unimodular,
     is_unimodular,
     lattice_point_orbits,
     normalized_volume,
@@ -19,7 +23,7 @@ from polycomp.triangulate import (
     triangulation_volumes,
 )
 
-from conftest import birkhoff
+from conftest import birkhoff, per_cell_unimodular
 
 SEGMENT = LatticePolytope([(0,), (1,), (2,)])  # lattice Z, points 0,1,2
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -269,3 +273,49 @@ def test_pulling_of_point_sublist():
     assert len(tri.simplices) == 2
     for cell in tri.simplices:
         assert 0 in cell
+
+
+@st.composite
+def _configurations(draw):
+    """Small point sets, either as drawn or as all lattice points of their hull."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 2)] * dim)
+    pts = draw(st.lists(point, min_size=2, max_size=6, unique=True))
+    if draw(st.booleans()):
+        hull = LatticePolytope(pts, lattice=standard_lattice(dim)).lattice_points()
+        if len(hull) <= 9:
+            pts = list(hull)
+    return pts
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_configurations(), st.randoms(use_true_random=False))
+def test_search_matches_per_cell_determinants(pts, rng):
+    lattice = affine_lattice_of(pts)
+    coords = [lattice.coords(p) for p in pts]
+    config = PointConfiguration(pts)
+    orders = [tuple(rng.sample(range(len(pts)), len(pts))) for _ in range(6)]
+    expected = [
+        per_cell_unimodular(coords, pulling_triangulation_of(config, o).simplices)
+        for o in orders
+    ]
+    assert list(each_pulling_unimodular(config, coords, orders)) == expected
+
+
+def test_search_takes_determinants_for_its_first_ordering_only(monkeypatch):
+    calls = []
+    det = triangulate.determinant
+    monkeypatch.setattr(triangulate, "determinant", lambda m: calls.append(m) or det(m))
+
+    # every ordering of the square is visited: one orbit, 3! tails
+    assert all_pulling_unimodular(SQUARE) is True
+    assert len(calls) == len(pulling_triangulation(SQUARE, (0, 1, 2, 3)))
+
+    triangle = LatticePolytope([(0, 0), (2, 0), (0, 2)], lattice=standard_lattice(2))
+    lattice = triangle.point_lattice()
+    coords = [lattice.coords(p) for p in triangle.lattice_points()]
+    orders = list(permutations(range(len(coords))))
+    calls.clear()
+    verdicts = list(each_pulling_unimodular(triangle.configuration(), coords, orders))
+    assert len(verdicts) == len(orders) and True in verdicts and False in verdicts
+    assert len(calls) == len(pulling_triangulation(triangle, orders[0]))
