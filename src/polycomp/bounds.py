@@ -9,9 +9,12 @@ depth-first search with interval pruning, so the two sides are independent
 of each other.
 
 When the column polytope is not compressed, some right-hand side provably
-separates the two optima; ``gap_witness`` builds one from a two-level facet
-by solving for an affine dependency between the top-level column, the facet
-columns and an intermediate column, then verifies the gap with both solvers.
+separates the two optima.  ``gap_witness`` builds one directly from a facet
+of lattice width m >= 2: one solve writes a top-level column as an affine
+combination of the first intermediate-level column and the facet columns,
+which gives a kernel vector and the right-hand side.  That column exists,
+the solve succeeds, the IP is feasible and the LP optimum is fractional
+(proof in ``gap_witness``), so both solvers only confirm the gap.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations
-from math import gcd
 
 from .compressed import is_compressed
-from .linalg import affine_lattice_of, solve_rational
+from .linalg import affine_lattice_of, primitive, solve_fraction_free, solve_rational
 from .polytope import LatticePolytope, PointConfiguration
 from .simplex import solve_standard_form
 from .triangulate import DEFAULT_ORDERING_CAP, each_pulling_unimodular
@@ -246,24 +248,30 @@ class GapWitness:
     kernel_vector: tuple
 
 
-def _integerize(values):
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    return [int(v * scale) for v in values], scale
+def gap_witness(a):
+    """A right-hand side separating LP from IP, from a facet of width >= 2.
 
+    Returns None when the column polytope is compressed.  Otherwise take the
+    violating facet F, whose primitive functional puts the columns at levels
+    0..m with m >= 2, the first top-level column ``top`` and the first
+    intermediate-level column ``mid``.  One solve writes ``top`` as an affine
+    combination of ``mid`` and the columns on F; scaled to a primitive
+    integer vector (x, d) it is the kernel vector v with v_top = -d, and
+    b = sum_{v_j>0} v_j A_j - A_mid.  The construction always succeeds:
 
-def gap_witness(a, kernel_radius=3):
-    """A right-hand side separating LP from IP, from a two-level facet.
+    (i) Some column lies strictly between level 0 and m.  The top level is
+        reached at a vertex, which is a column.  If every column sat at level
+        0 or m, the primitive functional would take only multiples of m on
+        the lattice the columns generate, which forces m = 1: a single level.
+    (ii) The facet columns span F's hyperplane and ``mid`` lies off it, so
+        together they affinely span the hull and the solve succeeds.  The
+        functional gives ``mid`` the coefficient m/s_mid > 1, for its level
+        s_mid, so v_mid >= 2 and b is a nonnegative integer combination of
+        columns: the IP is feasible.
+    (iii) The LP optimum at ``top`` is d - s_mid/m, which is not an integer,
+        so LP > IP.
 
-    Returns None when the column polytope is compressed.  Otherwise: take the
-    violating facet, name a top-level column, and for each intermediate-level
-    column solve for the affine dependency through the facet columns; scaled
-    to integers it is a kernel vector v with the signs of the gap
-    construction, and b = sum_{v_i>0} v_i A_i - A_mid.  Every candidate is
-    verified by running both solvers; a bounded search over integer kernel
-    combinations backs up the direct construction.  Exhausting the search
-    without a verified witness raises instead of failing silently.
+    Both solvers check the gap; a failure raises as a broken invariant.
     """
     w = find_weight(a)
     if w is None:
@@ -274,83 +282,38 @@ def gap_witness(a, kernel_radius=3):
     if cert.verdict:
         return None
     facet = cert.violation.facet
-    zcols = [poly.hull_lattice.coords(c) for c in columns]
-    slacks = [facet.lattice_slack(z) for z in zcols]
+    slacks = [facet.lattice_slack(poly.hull_lattice.coords(c)) for c in columns]
     m = max(slacks)
-    top = next(j for j, s in enumerate(slacks) if s == m)
-    mids = [j for j, s in enumerate(slacks) if 0 < s < m]
-    base = [j for j, s in enumerate(slacks) if s == 0]
-
-    def verify(v, mid):
-        positive = [(j, x) for j, x in enumerate(v) if x > 0]
-        b = [0] * len(a)
-        for j, x in positive:
-            b = [r + x * c for r, c in zip(b, columns[j])]
-        b = [r - c for r, c in zip(b, columns[mid])]
-        program = make_program(a, b, top)
-        lp = lp_max(program)
-        ip = ip_max(program, lp=lp)
-        if lp.status != "optimal" or ip.status != "optimal":
-            return None
-        if lp.value > ip.value:
-            return GapWitness(
-                facet=facet,
-                rhs=tuple(b),
-                objective_index=top,
-                lp_value=lp.value,
-                ip_value=ip.value,
-                kernel_vector=tuple(v),
-            )
-        return None
-
-    # direct construction: top column as an affine combination of an
-    # intermediate column and the facet columns
-    for mid in mids:
-        support = [mid] + base
-        rows = [[columns[j][r] for j in support] for r in range(len(a))]
-        rows.append([1] * len(support))
-        sol = solve_rational(rows, list(columns[top]) + [1])
-        if sol is None:
-            continue
-        ints, scale = _integerize(sol)
-        v = [0] * len(columns)
-        v[top] = -scale
-        for j, x in zip(support, ints):
-            v[j] += x
-        witness = verify(v, mid)
-        if witness is not None:
-            return witness
-
-    # fallback: bounded integer combinations of the kernel basis
-    from .linalg import integer_kernel
-
-    basis = integer_kernel(list(a))
-    if basis and len(basis) <= 8:
-        from itertools import product as iproduct
-
-        candidates = []
-        for coeffs in iproduct(range(-kernel_radius, kernel_radius + 1), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            v = [0] * len(columns)
-            for c, vec in zip(coeffs, basis):
-                if c:
-                    v = [x + c * y for x, y in zip(v, vec)]
-            if v[top] >= 0:
-                continue
-            if any(v[j] > 0 for j, s in enumerate(slacks) if s == m and j != top):
-                continue
-            for mid in mids:
-                if v[mid] > 1 and all(v[j] <= 0 for j in mids if j != mid):
-                    candidates.append((v[mid], tuple(v), mid))
-        for _, v, mid in sorted(set(candidates)):
-            witness = verify(list(v), mid)
-            if witness is not None:
-                return witness
-
-    raise RuntimeError(
-        "no verified gap witness within the search budget; the polytope is "
-        "certified non-compressed, so one exists beyond it"
+    top = slacks.index(m)
+    mid = next(j for j, s in enumerate(slacks) if 0 < s < m)
+    support = [mid] + [j for j, s in enumerate(slacks) if s == 0]
+    rows = [[columns[j][r] for j in support] for r in range(len(a))]
+    rows.append([1] * len(support))
+    solved = solve_fraction_free(rows, [[x] for x in columns[top]] + [[1]])
+    if solved is None:
+        raise RuntimeError("the facet columns and an intermediate column must span the hull")
+    x, d = solved
+    *coefficients, scale = primitive([row[0] for row in x] + [d])
+    v = [0] * len(columns)
+    v[top] = -scale
+    for j, c in zip(support, coefficients):
+        v[j] = c
+    b = [-c for c in columns[mid]]
+    for j, c in enumerate(v):
+        if c > 0:
+            b = [r + c * y for r, y in zip(b, columns[j])]
+    program = make_program(a, b, top)
+    lp = lp_max(program)
+    ip = ip_max(program, lp=lp)
+    if lp.status != "optimal" or ip.status != "optimal" or lp.value <= ip.value:
+        raise RuntimeError("the facet construction must separate LP from IP")
+    return GapWitness(
+        facet=facet,
+        rhs=tuple(b),
+        objective_index=top,
+        lp_value=lp.value,
+        ip_value=ip.value,
+        kernel_vector=tuple(v),
     )
 
 

@@ -84,11 +84,14 @@ def polytope_from_json(data):
         elif spec == "ambient":
             lattice = standard_lattice(len(points[0]))
         elif isinstance(spec, dict):
-            anchor = tuple(parse_integer(x, "lattice.anchor") for x in spec.get("anchor", []))
-            basis = tuple(
-                tuple(parse_integer(x, "lattice.basis") for x in row)
-                for row in spec.get("basis", [])
-            )
+            anchor = spec.get("anchor", [])
+            rows = spec.get("basis", [])
+            if not isinstance(anchor, list):
+                raise InputError("lattice.anchor: expected a list of integers")
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise InputError("lattice.basis: expected a list of integer rows")
+            anchor = tuple(parse_integer(x, "lattice.anchor") for x in anchor)
+            basis = tuple(tuple(parse_integer(x, "lattice.basis") for x in row) for row in rows)
             lattice = AffineLattice(anchor, basis)
         else:
             raise InputError(f"polytope: unsupported lattice spec {spec!r}")
@@ -102,8 +105,11 @@ def graph_from_json(data):
     if not isinstance(data, dict) or "n" not in data:
         raise InputError('graph: expected an object with an "n" key')
     n = parse_integer(data["n"], "graph.n")
+    pairs = data.get("edges", [])
+    if not isinstance(pairs, list):
+        raise InputError("graph: edges must be a list of pairs [i, j]")
     edges = []
-    for e in data.get("edges", []):
+    for e in pairs:
         if not isinstance(e, list) or len(e) != 2:
             raise InputError("graph: each edge must be a pair [i, j]")
         edges.append((parse_integer(e[0], "edge"), parse_integer(e[1], "edge")))
@@ -119,7 +125,7 @@ def model_from_json(data):
         raise InputError('model: expected an object with an "n" key')
     n = parse_integer(data["n"], "model.n")
     facets = data.get("facets")
-    if not isinstance(facets, list) or not facets:
+    if not isinstance(facets, list) or not facets or not all(isinstance(f, list) for f in facets):
         raise InputError("model: facets must be a nonempty list of vertex lists")
     d = data.get("d")
     if not isinstance(d, list) or len(d) != n:

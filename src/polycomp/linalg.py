@@ -236,21 +236,6 @@ def solve_rational(a, b):
     return [Fraction(row[0], d) for row in x]
 
 
-def nullspace_rational(a):
-    """Basis of {x : a @ x == 0} over the rationals, for an integer matrix."""
-    ncols = len(a[0]) if a else 0
-    reduced, pivots, d = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, c in zip(reduced, pivots):
-            v[c] = Fraction(-row[f], d)
-        basis.append(v)
-    return basis
-
-
 @dataclass(frozen=True)
 class AffineLattice:
     """An affine lattice ``anchor + Z-span(basis)``.

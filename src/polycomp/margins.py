@@ -19,7 +19,7 @@ from itertools import chain, combinations, product
 
 from .compressed import is_compressed
 from .cutpoly import Graph, cut_polytope, cut_vectors, has_minor, max_induced_cycle
-from .linalg import matrix_rank, solve_fraction_free
+from .linalg import rref, solve_fraction_free
 from .polytope import LatticePolytope
 
 DEFAULT_COLUMN_CAP = 512
@@ -298,15 +298,11 @@ def covariance_check(complex_, d=None):
             cut = cut_index[frozenset(range(1, tilde.n + 1)) - support]
         pairs.append((cut, col))
 
-    # solve an affine map cut -> column from an affinely spanning frame
-    frame = []
-    rows = []
-    for cut, col in pairs:
-        cand = rows + [(1,) + cut]
-        if matrix_rank(cand) > len(rows):
-            rows = cand
-            frame.append((cut, col))
-    solved = solve_fraction_free(rows, [col for _, col in frame])
+    # solve an affine map cut -> column from an affinely spanning frame: the
+    # first independent (1, cut) rows are the pivot columns of one elimination
+    _, pivots, _ = rref(list(zip(*((1,) + cut for cut, _ in pairs))))
+    rows = [(1,) + pairs[c][0] for c in pivots]
+    solved = solve_fraction_free(rows, [pairs[c][1] for c in pivots])
     if solved is None:
         return False
     x, d = solved

@@ -9,14 +9,13 @@ the polytope is full dimensional and facet normals have a canonical primitive
 normalization.
 
 Facet enumeration is the double description method for every input size.
-``_facets_bruteforce`` (hyperplane search through point subsets) has no
-caller here: it is the independent reference the tests compare it against.
+The tests compare it against an independent brute-force hyperplane search
+through point subsets, which lives with them and not in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .linalg import (
@@ -28,7 +27,6 @@ from .linalg import (
     identity_matrix,
     integer_kernel,
     matrix_rank,
-    nullspace_rational,
     primitive,
     rref,
     saturate_rows,
@@ -75,47 +73,6 @@ def _project_to_pivot_coords(points):
     diffs = [vsub(p, base) for p in points[1:]]
     _, pivots, _ = rref(diffs)
     return [tuple(p[c] for c in pivots) for p in points], len(pivots)
-
-
-def _facets_bruteforce(points, dim):
-    """All facets of conv(points), points full-dimensional in Z^dim.
-
-    Tries every dim-subset of points; the ones spanning a hyperplane with all
-    remaining points on one side are the facets.  Exponential, but exact and
-    independent of the incremental method.
-    """
-    from itertools import combinations
-
-    n = len(points)
-    found = {}
-    for subset in combinations(range(n), dim):
-        pts = [points[i] for i in subset]
-        if dim == 1:
-            normals = [[Fraction(1)]]
-        else:
-            diffs = [vsub(p, pts[0]) for p in pts[1:]]
-            normals = nullspace_rational(diffs)
-        if len(normals) != 1:
-            continue
-        scale = 1
-        for x in normals[0]:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        g = primitive(tuple(int(x * scale) for x in normals[0]))
-        h = dot(g, pts[0])
-        slacks = [dot(g, p) - h for p in points]
-        if all(s >= 0 for s in slacks):
-            pass
-        elif all(s <= 0 for s in slacks):
-            g = tuple(-x for x in g)
-            h = -h
-            slacks = [-s for s in slacks]
-        else:
-            continue
-        tight = frozenset(i for i, s in enumerate(slacks) if s == 0)
-        found[(g, h)] = (tight, tuple(slacks))
-    return sorted(
-        (g, h, tight, slacks) for (g, h), (tight, slacks) in found.items()
-    )
 
 
 def _facets_dd(points, dim):

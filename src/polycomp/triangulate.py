@@ -14,16 +14,15 @@ triangulation is unimodular exactly when it has V cells:
 and decides every later one by counting cells.  ``all_pulling_unimodular``
 runs it over every ordering below a configurable cap; above the cap a
 vertex-transitive symmetry group lets a single ordering decide for all of
-them, and there is an explicitly probabilistic sampling escape hatch.
+them, and without one it refuses.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import permutations
 
-from .linalg import determinant, dot, matrix_rank, solve_fraction_free, vsub
+from .linalg import determinant, dot, rref, solve_fraction_free, vsub
 from .polytope import PointConfiguration
 
 DEFAULT_ORDERING_CAP = 9
@@ -220,18 +219,15 @@ class _SymmetrySearch:
         return sig
 
     def frame_from(self, start):
-        """Affinely independent lattice points starting at index ``start``."""
-        order = [start] + [i for i in range(self.n) if i != start]
-        frame = [start]
-        rows = []
-        for i in order[1:]:
-            cand = rows + [vsub(self.coords[i], self.coords[start])]
-            if matrix_rank(cand) > len(rows):
-                rows = cand
-                frame.append(i)
-                if len(rows) == self.polytope.dim:
-                    break
-        return frame
+        """Affinely independent lattice points starting at index ``start``.
+
+        The first independent differences, in index order, are the pivot
+        columns of one elimination of the differences as columns.
+        """
+        rest = [i for i in range(self.n) if i != start]
+        diffs = [vsub(self.coords[i], self.coords[start]) for i in rest]
+        _, pivots, _ = rref(list(zip(*diffs)))
+        return [start] + [rest[c] for c in pivots]
 
     def _verify(self, frame, images):
         base = self.coords[frame[0]]
@@ -320,41 +316,29 @@ def transitive_symmetry_shortcut(polytope):
     return "compressed" if ok else "not-compressed"
 
 
-def all_pulling_unimodular(
-    polytope,
-    cap=DEFAULT_ORDERING_CAP,
-    allow_sampling=False,
-    samples=2000,
-    seed=0,
-):
+def all_pulling_unimodular(polytope, cap=DEFAULT_ORDERING_CAP):
     """Whether every pulling triangulation of the lattice points is unimodular.
 
     Below the cap all orderings are enumerated, reduced by symmetry: only one
     first point per orbit needs trying, with all orderings of the rest.
     Above the cap a transitive symmetry group decides with one triangulation;
-    otherwise ``allow_sampling`` checks random orderings only (so True is not
-    a certificate) or OrderingCapExceeded is raised.  Either way the
-    orderings go through ``each_pulling_unimodular``: the first one's cell
-    volumes sum to the normalized volume V, and a later ordering is
-    unimodular exactly when its triangulation has V cells.
+    otherwise OrderingCapExceeded is raised.  The orderings go through
+    ``each_pulling_unimodular``: the first one's cell volumes sum to the
+    normalized volume V, and a later ordering is unimodular exactly when its
+    triangulation has V cells.
     """
     k = len(polytope.lattice_points())
-    if k <= cap:
-        orders = (
-            (first,) + tail
-            for first in (orbit[0] for orbit in lattice_point_orbits(polytope))
-            for tail in permutations([i for i in range(k) if i != first])
-        )
-    else:
+    if k > cap:
         verdict = transitive_symmetry_shortcut(polytope)
-        if verdict != "inapplicable":
-            return verdict == "compressed"
-        if not allow_sampling:
+        if verdict == "inapplicable":
             raise OrderingCapExceeded(
-                f"{k} lattice points exceed the ordering cap {cap}; no transitive "
-                "symmetry was found and sampling was not allowed"
+                f"{k} lattice points exceed the ordering cap {cap} and no "
+                "transitive symmetry was found"
             )
-        rng = random.Random(seed)
-        base = list(range(k))
-        orders = (rng.shuffle(base) or tuple(base) for _ in range(samples))
+        return verdict == "compressed"
+    orders = (
+        (first,) + tail
+        for first in (orbit[0] for orbit in lattice_point_orbits(polytope))
+        for tail in permutations([i for i in range(k) if i != first])
+    )
     return all(each_pulling_unimodular(polytope.configuration(), _volume_coords(polytope), orders))

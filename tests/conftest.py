@@ -1,8 +1,10 @@
 """Constructors and references shared by several test modules."""
 
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd
 
-from polycomp.linalg import determinant, vsub
+from polycomp.linalg import determinant, dot, primitive, rref, vsub
 from polycomp.polytope import LatticePolytope
 
 
@@ -22,4 +24,59 @@ def per_cell_unimodular(coords, cells):
     return all(
         abs(determinant([vsub(coords[i], coords[cell[0]]) for i in cell[1:]])) == 1
         for cell in cells
+    )
+
+
+def nullspace_rational(a):
+    """Basis of {x : a @ x == 0} over the rationals, for an integer matrix."""
+    ncols = len(a[0]) if a else 0
+    reduced, pivots, d = rref(a)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            v[c] = Fraction(-row[f], d)
+        basis.append(v)
+    return basis
+
+
+def _facets_bruteforce(points, dim):
+    """All facets of conv(points), points full-dimensional in Z^dim.
+
+    Tries every dim-subset of points; the ones spanning a hyperplane with all
+    remaining points on one side are the facets.  Exponential, but exact and
+    independent of double description; it returns the same sorted
+    ``(normal, offset, tight, slacks)`` tuples as ``polytope._facets_dd``.
+    """
+    n = len(points)
+    found = {}
+    for subset in combinations(range(n), dim):
+        pts = [points[i] for i in subset]
+        if dim == 1:
+            normals = [[Fraction(1)]]
+        else:
+            diffs = [vsub(p, pts[0]) for p in pts[1:]]
+            normals = nullspace_rational(diffs)
+        if len(normals) != 1:
+            continue
+        scale = 1
+        for x in normals[0]:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+        g = primitive(tuple(int(x * scale) for x in normals[0]))
+        h = dot(g, pts[0])
+        slacks = [dot(g, p) - h for p in points]
+        if all(s >= 0 for s in slacks):
+            pass
+        elif all(s <= 0 for s in slacks):
+            g = tuple(-x for x in g)
+            h = -h
+            slacks = [-s for s in slacks]
+        else:
+            continue
+        tight = frozenset(i for i, s in enumerate(slacks) if s == 0)
+        found[(g, h)] = (tight, tuple(slacks))
+    return sorted(
+        (g, h, tight, slacks) for (g, h), (tight, slacks) in found.items()
     )

@@ -21,9 +21,10 @@ from polycomp.bounds import (
 )
 from polycomp.linalg import affine_lattice_of
 from polycomp.margins import SimplicialComplex, graph_complex, marginal_matrix
-from polycomp.polytope import PointConfiguration
+from polycomp.polytope import LatticePolytope, PointConfiguration
 from polycomp.triangulate import pulling_triangulation_of
 from polycomp.cli import main
+from polycomp.compressed import is_compressed
 from polycomp.cutpoly import cycle_graph
 
 from conftest import per_cell_unimodular
@@ -187,6 +188,34 @@ def test_gap_witness_binary_five_cycle_margins():
     # b really is IP-feasible: the verifying solver said "optimal", and the
     # kernel vector sums to zero as an affine dependency
     assert sum(witness.kernel_vector) == 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda rows: st.lists(
+    st.tuples(*[st.integers(-2, 3)] * rows), min_size=3, max_size=6, unique=True)))
+def test_gap_witness_is_the_first_mid_construction(tails):
+    # a top row of ones makes the matrix homogeneous
+    a = [[1] * len(tails)] + [list(row) for row in zip(*tails)]
+    columns = matrix_columns(a)
+    poly = LatticePolytope(columns)
+    witness = gap_witness(a)
+    if is_compressed(poly).verdict:
+        assert witness is None
+        return
+    slacks = [witness.facet.lattice_slack(poly.hull_lattice.coords(c)) for c in columns]
+    m = max(slacks)
+    mid, *later_mids = [j for j, s in enumerate(slacks) if 0 < s < m]
+    v = witness.kernel_vector
+    assert all(v[j] == 0 for j in later_mids)
+    assert slacks[witness.objective_index] == m and v[witness.objective_index] < 0
+    assert v[mid] >= 2
+    assert all(sum(x * c[r] for x, c in zip(v, columns)) == 0 for r in range(len(a)))
+    rhs = [-x for x in columns[mid]]
+    for x, c in zip(v, columns):
+        if x > 0:
+            rhs = [r + x * y for r, y in zip(rhs, c)]
+    assert witness.rhs == tuple(rhs)
+    assert witness.lp_value > witness.ip_value
 
 
 def test_pull_first_unimodular_example_matrix_all_false():

@@ -196,10 +196,26 @@ def test_margin_classify_bad_size_is_input_error(tmp_path, capsys):
     {"anchor": [0], "basis": [[1, 0]]},  # anchor narrower than the basis
     {"anchor": [0, 0], "basis": [[1]]},  # basis narrower than the anchor
     {"anchor": [0], "basis": [[1]]},  # a 1-d lattice for 2-d points
+    {"anchor": 0},  # anchor not a list
+    {"anchor": [0, 0], "basis": [5]},  # basis row not a list
+    {"anchor": [0, 0], "basis": ["10"]},  # a string is not a row of digits
 ])
 def test_certify_malformed_lattice_is_input_error(tmp_path, capsys, lattice):
     path = write(tmp_path, "seg.json", {"points": [[0, 0], [1, 0]], "lattice": lattice})
     code, out, err = run(capsys, ["certify", "--polytope", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag, payload", [
+    ("cut-classify", "--graph", {"n": 3, "edges": 5}),
+    ("margin-classify", "--model", {"n": 3, "facets": [1, 2], "d": [2, 2, 2]}),
+    ("margin-classify", "--model", {"n": 3, "facets": [[1, 2], 3], "d": [2, 2, 2]}),
+])
+def test_non_list_shapes_are_input_errors(tmp_path, capsys, command, flag, payload):
+    path = write(tmp_path, "in.json", payload)
+    code, out, err = run(capsys, [command, flag, path])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -14,13 +14,14 @@ from polycomp.linalg import (
     hnf_basis,
     integer_kernel,
     matrix_rank,
-    nullspace_rational,
     primitive,
     rref,
     saturate_rows,
     solve_fraction_free,
     solve_rational,
 )
+
+from conftest import nullspace_rational
 
 
 def naive_determinant(m):

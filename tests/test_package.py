@@ -48,3 +48,21 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # the package stays stdlib-only at runtime; relative imports are its own
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    names = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    outside = sorted(
+        name for name in names
+        if name.split(".")[0] not in sys.stdlib_module_names
+    )
+    assert names and outside == []

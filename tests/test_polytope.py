@@ -17,7 +17,6 @@ from polycomp.margins import boundary_of_simplex, marginal_matrix, marginal_poly
 from polycomp.polytope import (
     LatticePolytope,
     PointConfiguration,
-    _facets_bruteforce,
     _facets_dd,
     _project_to_pivot_coords,
     _reduce_mod_rows,
@@ -28,6 +27,8 @@ from polycomp.polytope import (
     sublattice_through,
 )
 from polycomp.triangulate import pulling_triangulation_of
+
+from conftest import _facets_bruteforce
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 CUT_K3 = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]

@@ -243,10 +243,6 @@ def test_cap_exceeded_without_symmetry():
         all_pulling_unimodular(poly, cap=4)
 
 
-def test_sampling_flag_finds_segment_violation():
-    assert all_pulling_unimodular(SEGMENT, cap=2, allow_sampling=True) is False
-
-
 def test_all_pulling_matches_exhaustive_on_small_cases():
     cases = [
         SEGMENT,
