@@ -1,12 +1,12 @@
-"""Exact LP relaxations and integer optima for max-cell standard-form programs.
+"""Exact LP relaxations and integer optima of one cell x_i over a fiber.
 
-Programs are ``max x_i : A x = b, x >= 0 (, x integral)`` for a homogeneous
-integer matrix A: some weight vector w has w.A_j = 1 for every column, which
-pins the 1-norm of every feasible point to w.b and makes the integer side a
-finite enumeration.  The LP side is the exact simplex; the IP side scans the
-objective value downward and settles feasibility of each residual by
-depth-first search with interval pruning, so the two sides are independent
-of each other.
+A program is the fiber ``{x >= 0 : A x = b}`` of a homogeneous integer
+matrix A: a weight vector w, found once per matrix, has w.A_j = 1 for every
+column, which pins the 1-norm of every feasible point to w.b and makes the
+integer side a finite enumeration.  The LP side is the exact simplex, whose
+phase 1 runs once per fiber for all cells; the IP side scans the objective
+value downward and settles feasibility of each residual by depth-first
+search with interval pruning, so the two sides are independent.
 
 When the column polytope is not compressed, some right-hand side provably
 separates the two optima.  ``gap_witness`` builds one directly from a facet
@@ -25,9 +25,9 @@ from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 from .compressed import is_compressed
-from .linalg import affine_lattice_of, primitive, solve_fraction_free, solve_rational
+from .linalg import affine_lattice_of, primitive, solve_fraction_free
 from .polytope import LatticePolytope, PointConfiguration
-from .simplex import solve_standard_form
+from .simplex import LPResult, feasible_start, optimize
 from .triangulate import DEFAULT_ORDERING_CAP, each_pulling_unimodular
 
 
@@ -39,22 +39,21 @@ def matrix_columns(a):
 
 def find_weight(a):
     """A rational w with w . column = 1 for every column, or None."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if ncols == 0:
+    columns = matrix_columns(a)
+    solved = solve_fraction_free(columns, [[1]] * len(columns)) if columns else None
+    if solved is None:
         return None
-    at = [[a[i][j] for i in range(nrows)] for j in range(ncols)]
-    sol = solve_rational(at, [1] * ncols)
-    return tuple(sol) if sol is not None else None
+    x, d = solved
+    return tuple(Fraction(row[0], d) for row in x)
 
 
 @dataclass(frozen=True)
 class StandardFormProgram:
-    """max x_objective subject to matrix @ x = rhs, x >= 0."""
+    """The fiber {x >= 0 : matrix @ x = rhs} of a homogeneous matrix with
+    weight vector ``weight``; ``lp_max`` and ``ip_max`` optimize its cells."""
 
     matrix: tuple
     rhs: tuple
-    objective_index: int
     weight: tuple
 
     @property
@@ -64,48 +63,47 @@ class StandardFormProgram:
     @cached_property
     def budget(self):
         """w.rhs: the exact 1-norm of every feasible point, computed once."""
-        return sum(Fraction(w) * r for w, r in zip(self.weight, self.rhs))
+        return sum(w * r for w, r in zip(self.weight, self.rhs))
+
+    @cached_property
+    def start(self):
+        """Phase 1 of the simplex on the fiber, None when it is empty,
+        computed once for every cell."""
+        return feasible_start(self.matrix, self.rhs)
 
 
-def make_program(a, b, objective_index):
-    """Validated standard-form program; rejects inhomogeneous matrices."""
+def _homogeneous(a, message):
+    """The matrix as int tuples and its weight vector; ValueError if none."""
     w = find_weight(a)
     if w is None:
-        raise ValueError("matrix is not homogeneous (no weight vector w.A_j = 1)")
-    matrix = tuple(tuple(int(x) for x in row) for row in a)
+        raise ValueError(message)
+    return tuple(tuple(int(x) for x in row) for row in a), w
+
+
+def make_program(a, b):
+    """The validated fiber of b; rejects inhomogeneous matrices."""
+    matrix, w = _homogeneous(a, "matrix is not homogeneous (no weight vector w.A_j = 1)")
     if len(b) != len(matrix):
         raise ValueError("right-hand side length must match the row count")
-    ncols = len(matrix[0])
-    if not 0 <= objective_index < ncols:
+    return StandardFormProgram(matrix=matrix, rhs=tuple(int(x) for x in b), weight=w)
+
+
+def lp_max(program, cell, minimize=False):
+    """Exact LP optimum of cell ``cell`` over the fiber (minimization behind
+    the flag), as an LPResult, "optimal" or "infeasible"."""
+    if not 0 <= cell < program.ncols:
         raise ValueError("objective index out of range")
-    return StandardFormProgram(
-        matrix=matrix,
-        rhs=tuple(int(x) for x in b),
-        objective_index=objective_index,
-        weight=w,
-    )
-
-
-@dataclass(frozen=True)
-class LPOutcome:
-    status: str  # "optimal" | "infeasible"
-    value: Fraction | None
-    point: tuple | None
-
-
-def lp_max(program, minimize=False):
-    """Exact LP optimum of the relaxation (minimization behind the flag)."""
+    if program.start is None:
+        return LPResult("infeasible", None, None)
     sign = -1 if minimize else 1
     c = [0] * program.ncols
-    c[program.objective_index] = sign
-    res = solve_standard_form(program.matrix, program.rhs, c)
-    if res.status == "infeasible":
-        return LPOutcome("infeasible", None, None)
+    c[cell] = sign
+    res = optimize(program.start, c)
     if res.status != "optimal":
         raise RuntimeError(f"simplex returned {res.status!r} on a homogeneous program")
     if sum(res.solution) != program.budget:
         raise RuntimeError("LP optimum breaks the 1-norm that homogeneity pins")
-    return LPOutcome("optimal", sign * res.value, res.solution)
+    return LPResult("optimal", sign * res.value, res.solution)
 
 
 @dataclass(frozen=True)
@@ -156,28 +154,29 @@ def _fill_exact(columns, target, budget):
     return None
 
 
-def ip_max(program, minimize=False, lp=None):
-    """Exact integer optimum by downward scan over the objective value.
+def ip_max(program, cell, minimize=False, lp=None):
+    """Exact integer optimum of cell ``cell`` by downward scan over its value.
 
     Fixing x_i = t leaves a residual that must be an exact nonnegative
     integer combination of the other columns using the remaining budget; the
     first feasible t below the LP bound is optimal.  LP-infeasibility and
     integer-infeasibility are reported apart.  ``lp`` is the caller's
-    ``lp_max(program, minimize=minimize)`` outcome, so a caller that already
-    holds it does not solve the LP again.
+    ``lp_max(program, cell, minimize=minimize)`` outcome, so a caller that
+    already holds it does not solve the LP again.
     """
+    if not 0 <= cell < program.ncols:
+        raise ValueError("objective index out of range")
     if lp is None:
-        lp = lp_max(program, minimize=minimize)
+        lp = lp_max(program, cell, minimize=minimize)
     if lp.status == "infeasible":
         return IPOutcome("infeasible", None, None, reason="lp-infeasible")
     budget = program.budget
     if budget.denominator != 1 or budget < 0:
         return IPOutcome("infeasible", None, None, reason="no-integer-point")
     budget = int(budget)
-    i = program.objective_index
     columns = matrix_columns(program.matrix)
-    others = [c for j, c in enumerate(columns) if j != i]
-    col_i = columns[i]
+    others = [c for j, c in enumerate(columns) if j != cell]
+    col_i = columns[cell]
 
     if minimize:
         start = lp.value.numerator // lp.value.denominator
@@ -191,7 +190,7 @@ def ip_max(program, minimize=False, lp=None):
         residual = [x - t * y for x, y in zip(program.rhs, col_i)]
         fill = _fill_exact(others, residual, budget - t)
         if fill is not None:
-            table = list(fill[:i]) + [t] + list(fill[i:])
+            table = list(fill[:cell]) + [t] + list(fill[cell:])
             return IPOutcome("optimal", t, tuple(table))
     return IPOutcome("infeasible", None, None, reason="no-integer-point")
 
@@ -212,10 +211,8 @@ def lp_ip_equal_all(a, budget, cells=None):
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    w = find_weight(a)
-    if w is None:
-        raise ValueError("matrix is not homogeneous")
-    columns = matrix_columns(a)
+    matrix, w = _homogeneous(a, "matrix is not homogeneous")
+    columns = matrix_columns(matrix)
     ncols = len(columns)
     cells = list(range(ncols)) if cells is None else sorted(set(cells))
     nrows = len(a)
@@ -227,10 +224,10 @@ def lp_ip_equal_all(a, budget, cells=None):
                 b = [x + y for x, y in zip(b, columns[j])]
             rhs_set.add(tuple(b))
     for b in sorted(rhs_set):
+        program = StandardFormProgram(matrix=matrix, rhs=b, weight=w)
         for i in cells:
-            program = make_program(a, b, i)
-            lp = lp_max(program)
-            ip = ip_max(program, lp=lp)
+            lp = lp_max(program, i)
+            ip = ip_max(program, i, lp=lp)
             if lp.status != "optimal" or ip.status != "optimal":
                 raise RuntimeError(f"column sum {b} must be LP- and IP-feasible")
             if lp.value != ip.value:
@@ -273,10 +270,8 @@ def gap_witness(a):
 
     Both solvers check the gap; a failure raises as a broken invariant.
     """
-    w = find_weight(a)
-    if w is None:
-        raise ValueError("matrix is not homogeneous")
-    columns = matrix_columns(a)
+    matrix, w = _homogeneous(a, "matrix is not homogeneous")
+    columns = matrix_columns(matrix)
     poly = LatticePolytope(columns)
     cert = is_compressed(poly)
     if cert.verdict:
@@ -302,9 +297,9 @@ def gap_witness(a):
     for j, c in enumerate(v):
         if c > 0:
             b = [r + c * y for r, y in zip(b, columns[j])]
-    program = make_program(a, b, top)
-    lp = lp_max(program)
-    ip = ip_max(program, lp=lp)
+    program = StandardFormProgram(matrix=matrix, rhs=tuple(b), weight=w)
+    lp = lp_max(program, top)
+    ip = ip_max(program, top, lp=lp)
     if lp.status != "optimal" or ip.status != "optimal" or lp.value <= ip.value:
         raise RuntimeError("the facet construction must separate LP from IP")
     return GapWitness(

@@ -38,7 +38,7 @@ from .jsonio import (
     model_from_json,
     polytope_from_json,
 )
-from .margins import margins_compressed
+from .margins import DEFAULT_COLUMN_CAP, margins_compressed
 from .polytope import LatticePolytope
 from .triangulate import pulling_triangulation, triangulation_volumes
 
@@ -132,11 +132,11 @@ def cmd_bounds(args):
     if not 1 <= cell <= len(matrix[0]):
         raise InputError(f"--cell must be in 1..{len(matrix[0])}")
     try:
-        program = make_program(matrix, b, cell - 1)
+        program = make_program(matrix, b)
     except ValueError as exc:
         raise InputError(str(exc))
-    lp = lp_max(program, minimize=args.minimize)
-    ip = ip_max(program, minimize=args.minimize, lp=lp)
+    lp = lp_max(program, cell - 1, minimize=args.minimize)
+    ip = ip_max(program, cell - 1, minimize=args.minimize, lp=lp)
     payload = {"cell": cell, "direction": "min" if args.minimize else "max"}
     if lp.status == "optimal":
         payload["lp"] = format_rational(lp.value)
@@ -448,8 +448,8 @@ def build_parser():
 
     p = sub.add_parser("margin-classify", help="compressedness of a marginal polytope")
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--column-cap", type=int, default=512,
-                   help="certifier fallback cap on table cells (default 512)")
+    p.add_argument("--column-cap", type=int, default=DEFAULT_COLUMN_CAP,
+                   help="certifier fallback cap on table cells (default %(default)s)")
     p.set_defaults(func=cmd_margin_classify)
 
     p = sub.add_parser("bounds", help="exact LP and IP optimum of one cell")

@@ -77,7 +77,7 @@ def _profile(polytope, facet):
 def facet_levels(polytope, facet):
     """Profile of one facet: the distinct positive slack levels over the
     lattice points, measured with the lattice-primitive normal."""
-    if facet not in polytope.facet_set():
+    if facet not in polytope.facets():
         raise ValueError("facet does not belong to the polytope")
     return _profile(polytope, facet)
 

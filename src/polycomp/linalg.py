@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
 
@@ -215,25 +214,6 @@ def solve_fraction_free(a, rhs_rows):
     for row, c in zip(reduced, pivots):
         x[c] = row[ncols:]
     return x, d
-
-
-def solve_rational(a, b):
-    """One rational solution x of a @ x == b, or None if inconsistent.
-
-    Rational entries are allowed: each equation is scaled to integers first.
-    """
-    rows = []
-    rhs = []
-    for row, v in zip(a, b):
-        eq = list(row) + [v]
-        scale = math.lcm(*(x.denominator for x in eq))
-        rows.append([int(x * scale) for x in eq[:-1]])
-        rhs.append([int(v * scale)])
-    solved = solve_fraction_free(rows, rhs)
-    if solved is None:
-        return None
-    x, d = solved
-    return [Fraction(row[0], d) for row in x]
 
 
 @dataclass(frozen=True)

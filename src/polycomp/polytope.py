@@ -87,6 +87,9 @@ def _facets_dd(points, dim):
     the constraints tight at them; adjacency of a positive/negative ray pair
     is decided combinatorially (no third ray's tight set contains the common
     one), which is what keeps the insertion step polynomial per output ray.
+    Each new ray lies in the relative interior of the 2-face spanned by its
+    adjacent pair; relative interiors of distinct faces are disjoint, so no
+    two pairs give the same new ray and no new ray equals a kept one.
     Every ray also carries its value against all n constraints, updated
     with the same combination that builds the ray, so no dot product is ever
     recomputed and the final values double as the facet slacks.
@@ -128,7 +131,6 @@ def _facets_dd(points, dim):
         new_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
         new_masks = [masks[i] for i in pos] + [masks[i] | cbit for i in zero]
         new_values = [values[i] for i in pos + zero]
-        seen = set(new_rays)
         min_common = dim - 1
         for p in pos:
             mp = masks[p]
@@ -153,9 +155,6 @@ def _facets_dd(points, dim):
                     g = gcd(g, x)
                 if g > 1:
                     combo = tuple(x // g for x in combo)
-                if combo in seen:
-                    continue
-                seen.add(combo)
                 val_p = values[p]
                 val_m = values[m]
                 if g > 1:
@@ -266,7 +265,6 @@ class LatticePolytope:
         self.dim = self.hull_lattice.dim
         self._pts_m = tuple(self.hull_lattice.coords(p) for p in pts)
         self._facets = None
-        self._facet_set = None
         self._hull_equations = None
         self._lattice_points = None
         self._lattice_point_coords = None
@@ -342,12 +340,6 @@ class LatticePolytope:
         return FacetIneq(normal=a, offset=b, lattice_normal=tuple(g),
                          lattice_offset=h, tight=tight,
                          generator_slacks=tuple(slacks))
-
-    def facet_set(self):
-        """Frozen set of the facets, for O(1) membership validation."""
-        if self._facet_set is None:
-            self._facet_set = frozenset(self.facets())
-        return self._facet_set
 
     def hull_equations(self):
         """Integer equations (a, b) with a @ x == b on the affine hull."""

@@ -2,7 +2,11 @@
 
 Two-phase tableau simplex for standard-form programs ``max c.x : A x = b,
 x >= 0`` with Bland's rule for both the entering and the leaving variable,
-so cycling is impossible and every reported optimum is exact.
+so cycling is impossible and every reported optimum is exact.  The phases
+are separate functions: ``feasible_start`` finds a feasible basis of the
+fiber ``{x >= 0 : A x = b}`` once, and ``optimize`` runs phase 2 from it
+for one objective without changing it.  ``solve_standard_form`` is the two
+in sequence.
 
 The tableau is fraction-free (Edmonds 1967): an integer matrix ``M`` with
 one positive common denominator ``D`` stands for ``M / D``.  A pivot on
@@ -74,24 +78,23 @@ def _run_simplex(tableau, basis, ncols, d):
         d = _pivot(tableau, basis, best, col, d)
 
 
-def solve_standard_form(a, b, c):
-    """Solve ``max c.x  s.t.  a x = b, x >= 0`` exactly.
+def feasible_start(a, b):
+    """Phase 1 for the fiber ``{x >= 0 : a x = b}``: a feasible basis, or None.
 
-    Entries must be ints: a Fraction raises TypeError rather than being
-    truncated.  Returns an LPResult; on "optimal" the solution attains the
-    value exactly.
+    Minimizes the sum of one artificial per row, drives leftover artificials
+    out of the basis and drops redundant rows.  Returns ``(tableau, basis,
+    d)`` as tuples without the artificial columns or an objective row.
+    Entries must be ints: a Fraction raises TypeError, not truncation.
     """
     m = len(a)
-    n = len(a[0]) if m else len(c)
+    n = len(a[0]) if m else 0
     rows = [list(map(index, row)) for row in a]
     rhs = list(map(index, b))
-    c = list(map(index, c))
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = [-x for x in rows[i]]
             rhs[i] = -rhs[i]
 
-    # phase 1: artificials on every row, minimize their sum
     ncols = n + m
     tableau = []
     for i in range(m):
@@ -99,16 +102,15 @@ def solve_standard_form(a, b, c):
         art[i] = 1
         tableau.append(rows[i] + art + [rhs[i]])
     # maximize -(sum of artificials) == row sums over the original columns
-    obj = [sum(col) for col in zip(*rows)] if m else [0] * n
+    obj = [sum(col) for col in zip(*rows)] if m else []
     tableau.append(obj + [0] * m + [sum(rhs)])
     basis = [n + i for i in range(m)]
     status, d = _run_simplex(tableau, basis, ncols, 1)
     if status != "optimal":
         raise RuntimeError(f"phase 1 returned {status!r}; it is always bounded")
     if tableau.pop()[-1] != 0:
-        return LPResult("infeasible", None, None)
+        return None
 
-    # drive leftover artificials out of the basis, dropping redundant rows
     keep = []
     for i in range(m):
         if basis[i] < n:
@@ -119,10 +121,20 @@ def solve_standard_form(a, b, c):
             continue  # redundant constraint
         d = _pivot(tableau, basis, i, col, d)
         keep.append(i)
-    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+    return (tuple(tuple(tableau[i][:n]) + (tableau[i][-1],) for i in keep),
+            tuple(basis[i] for i in keep), d)
 
-    # phase 2: the objective row is d*c - sum of c[basis[i]] * row i
+
+def optimize(start, c):
+    """Phase 2: maximize ``c.x`` from a ``feasible_start`` result, on a copy
+    so one start serves every objective.  Returns an LPResult, "optimal"
+    (the solution attains the value exactly) or "unbounded".
+    """
+    c = list(map(index, c))
+    n = len(c)
+    # _pivot replaces the start's tuple rows instead of writing into them
+    tableau, basis, d = list(start[0]), list(start[1]), start[2]
+    # the objective row is d*c - sum of c[basis[i]] * row i
     obj = [d * x for x in c] + [0]
     for tr, bi in zip(tableau, basis):
         f = c[bi]
@@ -137,6 +149,15 @@ def solve_standard_form(a, b, c):
         solution[bi] = Fraction(tr[-1], d)
     value = Fraction(sum(c[bi] * tr[-1] for tr, bi in zip(tableau, basis)), d)
     return LPResult("optimal", value, tuple(solution))
+
+
+def solve_standard_form(a, b, c):
+    """Solve ``max c.x  s.t.  a x = b, x >= 0`` exactly: ``feasible_start``
+    then ``optimize``.  Returns an LPResult."""
+    start = feasible_start(a, b)
+    if start is None:
+        return LPResult("infeasible", None, None)
+    return optimize(start, c)
 
 
 def solve_box_program(equalities, eq_rhs, objective, n, maximize=False):

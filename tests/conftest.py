@@ -80,3 +80,38 @@ def _facets_bruteforce(points, dim):
     return sorted(
         (g, h, tight, slacks) for (g, h), (tight, slacks) in found.items()
     )
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan over Fraction: the reference the fraction-free rref must match."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def fraction_solve(rows, b):
+    """One solution of rows @ x == b with free unknowns 0, or None: the reference."""
+    ncols = len(rows[0])
+    reduced, pivots = fraction_rref([list(row) + [v] for row, v in zip(rows, b)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[-1]
+    return x

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,6 +23,7 @@ from polycomp.bounds import (
 from polycomp.linalg import affine_lattice_of
 from polycomp.margins import SimplicialComplex, graph_complex, marginal_matrix
 from polycomp.polytope import LatticePolytope, PointConfiguration
+from polycomp.simplex import solve_standard_form
 from polycomp.triangulate import pulling_triangulation_of
 from polycomp.cli import main
 from polycomp.compressed import is_compressed
@@ -48,60 +50,69 @@ def test_find_weight_marginal_matrix_block_indicator():
 def test_find_weight_failure():
     assert find_weight([[1, 2]]) is None
     with pytest.raises(ValueError):
-        make_program([[1, 2]], [1], 0)
+        make_program([[1, 2]], [1])
+
+
+def test_cell_range_is_checked_per_call():
+    p = make_program(SEGMENT_MATRIX, (1, 1))
+    for cell in (-1, 3):
+        with pytest.raises(ValueError, match="objective index out of range"):
+            lp_max(p, cell)
+        with pytest.raises(ValueError, match="objective index out of range"):
+            ip_max(p, cell, lp=lp_max(p, 0))
 
 
 def test_lp_max_segment_examples():
-    p = make_program(SEGMENT_MATRIX, (1, 1), 2)
-    res = lp_max(p)
+    p = make_program(SEGMENT_MATRIX, (1, 1))
+    res = lp_max(p, 2)
     assert res.status == "optimal" and res.value == Fraction(1, 2)
-    p2 = make_program(SEGMENT_MATRIX, (2, 2), 2)
-    assert lp_max(p2).value == 1
+    p2 = make_program(SEGMENT_MATRIX, (2, 2))
+    assert lp_max(p2, 2).value == 1
     # b equal to a column: its own cell reaches 1
     for i, col in enumerate(matrix_columns(SEGMENT_MATRIX)):
-        p3 = make_program(SEGMENT_MATRIX, col, i)
-        assert lp_max(p3).value == 1
+        p3 = make_program(SEGMENT_MATRIX, col)
+        assert lp_max(p3, i).value == 1
 
 
 def test_lp_max_infeasible():
-    p = make_program(SEGMENT_MATRIX, (-1, 0), 0)
-    assert lp_max(p).status == "infeasible"
+    p = make_program(SEGMENT_MATRIX, (-1, 0))
+    assert lp_max(p, 0).status == "infeasible"
 
 
 def test_ip_max_segment_examples():
-    p = make_program(SEGMENT_MATRIX, (1, 1), 2)
-    res = ip_max(p)
+    p = make_program(SEGMENT_MATRIX, (1, 1))
+    res = ip_max(p, 2)
     assert res.status == "optimal" and res.value == 0
     assert res.table == (0, 1, 0)
-    p2 = make_program(SEGMENT_MATRIX, (2, 2), 2)
-    res2 = ip_max(p2)
+    p2 = make_program(SEGMENT_MATRIX, (2, 2))
+    res2 = ip_max(p2, 2)
     assert res2.value == 1 and res2.table in ((1, 0, 1), (0, 2, 0))
     assert res2.table == (1, 0, 1)  # scan from above finds the max cell first
-    p3 = make_program(SEGMENT_MATRIX, (0, 0), 1)
-    assert ip_max(p3).value == 0
+    p3 = make_program(SEGMENT_MATRIX, (0, 0))
+    assert ip_max(p3, 1).value == 0
 
 
 def test_ip_infeasible_statuses_are_distinct():
-    p = make_program(SEGMENT_MATRIX, (-1, 0), 0)
-    res = ip_max(p)
+    p = make_program(SEGMENT_MATRIX, (-1, 0))
+    res = ip_max(p, 0)
     assert res.status == "infeasible" and res.reason == "lp-infeasible"
     # LP-feasible with an integral budget, but no integer point hits b
-    p2 = make_program([[2, 0], [0, 2]], (1, 1), 0)
-    assert lp_max(p2).status == "optimal"
-    res2 = ip_max(p2)
+    p2 = make_program([[2, 0], [0, 2]], (1, 1))
+    assert lp_max(p2, 0).status == "optimal"
+    res2 = ip_max(p2, 0)
     assert res2.status == "infeasible" and res2.reason == "no-integer-point"
     # fractional budget short-circuits
-    p3 = make_program([[2, 0], [0, 2]], (1, 0), 0)
-    assert lp_max(p3).status == "optimal"
-    res3 = ip_max(p3)
+    p3 = make_program([[2, 0], [0, 2]], (1, 0))
+    assert lp_max(p3, 0).status == "optimal"
+    res3 = ip_max(p3, 0)
     assert res3.status == "infeasible" and res3.reason == "no-integer-point"
 
 
 def test_homogeneity_budget():
-    p = make_program(SEGMENT_MATRIX, (3, 2), 0)
+    p = make_program(SEGMENT_MATRIX, (3, 2))
     assert p.budget == 3
-    lp = lp_max(p)
-    assert sum(lp.point) == 3
+    lp = lp_max(p, 0)
+    assert sum(lp.solution) == 3
 
 
 def test_weak_duality_random_instances():
@@ -116,8 +127,8 @@ def test_weak_duality_random_instances():
         cols = matrix_columns(a)
         b = [sum(c * col[r] for c, col in zip(combo, cols)) for r in range(nrows + 1)]
         i = rng.randrange(ncols)
-        p = make_program(a, b, i)
-        lp, ip = lp_max(p), ip_max(p)
+        p = make_program(a, b)
+        lp, ip = lp_max(p, i), ip_max(p, i)
         assert lp.status == "optimal" and ip.status == "optimal"
         assert lp.value >= ip.value
         assert sum(ip.table) == p.budget
@@ -125,14 +136,13 @@ def test_weak_duality_random_instances():
 
 
 def test_lp_min_ip_min_flagged_path():
-    p = make_program(SEGMENT_MATRIX, (2, 2), 2)
-    assert lp_max(p, minimize=True).value == 0
-    assert ip_max(p, minimize=True).value == 0
-    p2 = make_program(SEGMENT_MATRIX, (2, 2), 1)
-    assert lp_max(p2, minimize=True).value == 0
-    assert ip_max(p2, minimize=True).value == 0
-    p3 = make_program(SEGMENT_MATRIX, (1, 1), 1)
-    assert ip_max(p3, minimize=True).value == 1
+    p = make_program(SEGMENT_MATRIX, (2, 2))
+    assert lp_max(p, 2, minimize=True).value == 0
+    assert ip_max(p, 2, minimize=True).value == 0
+    assert lp_max(p, 1, minimize=True).value == 0
+    assert ip_max(p, 1, minimize=True).value == 0
+    p3 = make_program(SEGMENT_MATRIX, (1, 1))
+    assert ip_max(p3, 1, minimize=True).value == 1
 
 
 def test_sweep_example_matrix_first_cell_holds():
@@ -148,8 +158,8 @@ def test_sweep_segment_matrix_finds_counterexample():
     assert b == (1, 1) and i == 0
     assert lp_value == Fraction(1, 2) and ip_value == 0
     # the mirrored end shows the same gap values
-    p = make_program(SEGMENT_MATRIX, (1, 1), 2)
-    assert lp_max(p).value == Fraction(1, 2) and ip_max(p).value == 0
+    p = make_program(SEGMENT_MATRIX, (1, 1))
+    assert lp_max(p, 2).value == Fraction(1, 2) and ip_max(p, 2).value == 0
 
 
 def test_sweep_decomposable_margins_hold():
@@ -280,38 +290,61 @@ def test_ip_max_with_the_callers_lp_matches_its_own():
     cases += [([[2, 0], [0, 2]], b, i) for b in ((1, 1), (1, 0), (2, 4)) for i in range(2)]
     reasons = set()
     for matrix, b, i in cases:
-        p = make_program(matrix, b, i)
+        p = make_program(matrix, b)
         for minimize in (False, True):
-            own = ip_max(p, minimize=minimize)
-            assert ip_max(p, minimize=minimize, lp=lp_max(p, minimize=minimize)) == own
+            own = ip_max(p, i, minimize=minimize)
+            assert ip_max(p, i, minimize=minimize, lp=lp_max(p, i, minimize=minimize)) == own
             reasons.add(own.reason)
     assert reasons == {None, "lp-infeasible", "no-integer-point"}
 
 
 def test_one_lp_solve_per_program(monkeypatch, tmp_path):
-    solves = []
-    programs = []
-    solve, make = bounds.solve_standard_form, bounds.make_program
-    monkeypatch.setattr(bounds, "solve_standard_form",
-                        lambda *args: solves.append(args) or solve(*args))
-    monkeypatch.setattr(bounds, "make_program",
-                        lambda *args: programs.append(args) or make(*args))
+    calls = Counter()
+    for name in ("find_weight", "feasible_start", "optimize"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *args, real=real, name=name:
+                            calls.update([name]) or real(*args))
 
     model = marginal_matrix(SimplicialComplex(3, ((1, 2), (2, 3))), (2, 2, 2))
     matrix = [list(r) for r in model.matrix]
+    assert len(matrix[0]) == 8
     res = lp_ip_equal_all(matrix, budget=2)
     assert res.holds
-    assert len(programs) == res.checked_rhs * len(matrix[0])
-    assert len(solves) == len(programs)
+    assert calls == Counter(find_weight=1, feasible_start=res.checked_rhs,
+                            optimize=res.checked_rhs * 8)
 
-    solves.clear()
-    programs.clear()
+    calls.clear()
     assert gap_witness(SEGMENT_MATRIX) is not None
-    assert programs and len(solves) == len(programs)
+    assert calls == Counter(find_weight=1, feasible_start=1, optimize=1)
 
     path = tmp_path / "A.json"
     path.write_text(json.dumps({"matrix": SEGMENT_MATRIX}))
-    for b in ("1,1", "-1,0"):
-        solves.clear()
+    for b, phase_two in (("1,1", 1), ("-1,0", 0)):
+        calls.clear()
         assert main(["bounds", "--matrix", str(path), f"--b={b}", "--cell", "3"]) == 0
-        assert len(solves) == 1
+        assert calls == Counter(find_weight=1, feasible_start=1, optimize=phase_two)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda rows: st.lists(
+    st.tuples(*[st.integers(-2, 3)] * rows), min_size=2, max_size=5)), st.data())
+def test_one_program_serves_every_cell_in_any_order(tails, data):
+    # a top row of ones makes the matrix homogeneous; b is a sum of columns
+    a = [[1] * len(tails)] + [list(row) for row in zip(*tails)]
+    columns = matrix_columns(a)
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=len(columns),
+                                max_size=len(columns)))
+    b = [sum(k * c[r] for k, c in zip(counts, columns)) for r in range(len(a))]
+    program = make_program(a, b)
+    cells = list(range(len(columns)))
+    for cell in cells + cells[::-1]:
+        fresh = make_program(a, b)
+        for minimize in (False, True):
+            sign = -1 if minimize else 1
+            lp = lp_max(program, cell, minimize=minimize)
+            direct = solve_standard_form(a, b, [sign * (j == cell) for j in cells])
+            assert lp.status == direct.status == "optimal"
+            assert (lp.value, lp.solution) == (sign * direct.value, direct.solution)
+            assert lp_max(fresh, cell, minimize=minimize) == lp
+            assert ip_max(program, cell, minimize=minimize) == ip_max(
+                fresh, cell, minimize=minimize)

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ SEGMENT_AMBIENT = {"points": [[0], [2]], "lattice": "ambient"}
 K5 = {"n": 5, "edges": [[i, j] for i in range(1, 6) for j in range(i + 1, 6)]}
 PATH_MODEL = {"n": 3, "facets": [[1, 2], [2, 3]], "d": [3, 3, 3]}
 SEGMENT_MATRIX = {"matrix": [[1, 1, 1], [0, 1, 2]]}
+# the reviewed stdout of `polycomp repro --all`; outputs are the contract, so
+# a change to this file is a change of results and needs its own reason
+REPRO_ALL = Path(__file__).parent / "fixtures" / "repro_all.txt"
 
 
 def write(tmp_path, name, payload):
@@ -267,5 +271,5 @@ def test_repro_list_and_determinism(capsys):
     code, out1, _ = run(capsys, ["repro", "--all"])
     assert code == 0
     code, out2, _ = run(capsys, ["repro", "--all"])
-    assert out1 == out2
+    assert out1 == out2 == REPRO_ALL.read_text(encoding="utf-8")
     assert all(line.startswith("PASS") for line in out1.strip().split("\n")[:-1])

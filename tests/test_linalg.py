@@ -18,10 +18,9 @@ from polycomp.linalg import (
     rref,
     saturate_rows,
     solve_fraction_free,
-    solve_rational,
 )
 
-from conftest import nullspace_rational
+from conftest import fraction_rref, fraction_solve, nullspace_rational
 
 
 def naive_determinant(m):
@@ -177,39 +176,16 @@ def test_integer_kernel_is_saturated():
     assert integer_kernel([[2, 2]]) == [(1, -1)]
 
 
-def test_solve_rational_and_nullspace():
-    sol = solve_rational([[1, 1, 1], [0, 1, 2]], [1, 1])
-    assert sol is not None
+def test_solve_fraction_free_and_nullspace():
+    x, d = solve_fraction_free([[1, 1, 1], [0, 1, 2]], [[1], [1]])
+    sol = [Fraction(row[0], d) for row in x]
     assert sum(sol) == 1
     assert sol[1] + 2 * sol[2] == 1
-    assert solve_rational([[1, 0], [1, 0]], [0, 1]) is None
+    assert solve_fraction_free([[1, 0], [1, 0]], [[0], [1]]) is None
     ns = nullspace_rational([[1, 1, 1], [0, 1, 2]])
     assert len(ns) == 1
     v = ns[0]
     assert v[0] + v[1] + v[2] == 0 and v[1] + 2 * v[2] == 0
-
-
-def fraction_rref(rows):
-    """Gauss-Jordan over Fraction: the reference the fraction-free rref must match."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
 
 
 def test_rref_pivots():
@@ -246,18 +222,6 @@ def test_rref_matches_fraction_gauss_jordan(rows):
     assert matrix_rank(rows) == len(expected_pivots)
 
 
-def fraction_solve(rows, b):
-    """One solution of rows @ x == b with free unknowns 0, or None: the reference."""
-    ncols = len(rows[0])
-    reduced, pivots = fraction_rref([list(row) + [v] for row, v in zip(rows, b)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(reduced, pivots):
-        x[c] = row[-1]
-    return x
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_matrices, st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
 def test_solve_fraction_free_matches_columnwise_solves(rows, width, consistent, rng):
@@ -277,12 +241,6 @@ def test_solve_fraction_free_matches_columnwise_solves(rows, width, consistent, 
     assert d > 0
     for j, col in enumerate(expected):
         assert [Fraction(x[k][j], d) for k in range(ncols)] == col
-        assert solve_rational(rows, [r[j] for r in rhs]) == col
-
-
-def test_solve_rational_accepts_rational_entries():
-    sol = solve_rational([[Fraction(1, 2), 1], [0, Fraction(1, 3)]], [1, Fraction(2, 3)])
-    assert sol == [Fraction(-2), Fraction(2)]
 
 
 def test_primitive_and_ranks():

@@ -2,6 +2,8 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polycomp.cutpoly import complete_graph, cut_polytope
 from polycomp.linalg import (
@@ -90,6 +92,17 @@ def test_dd_matches_bruteforce_oracle():
         z = [poly.hull_lattice.coords(p) for p in poly.generators]
         assert _facets_dd(z, poly.dim) == _facets_bruteforce(z, poly.dim)
         checked += 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * dim), min_size=dim + 1, max_size=dim + 5, unique=True)))
+def test_dd_matches_bruteforce_on_random_point_sets(points):
+    # whole (normal, offset, tight, slacks) lists: a ray found twice would
+    # show up as a repeated facet
+    dim = len(points[0])
+    assume(matrix_rank([vsub(p, points[0]) for p in points[1:]]) == dim)
+    assert _facets_dd(points, dim) == _facets_bruteforce(points, dim)
 
 
 def test_dd_on_zero_one_cube():

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycomp import simplex
-from polycomp.simplex import LPResult, solve_box_program, solve_standard_form
+from polycomp.simplex import (
+    LPResult,
+    feasible_start,
+    optimize,
+    solve_box_program,
+    solve_standard_form,
+)
+
+from conftest import fraction_solve
 
 
 def _fraction_pivot(tableau, basis, row, col, trail):
@@ -147,6 +155,20 @@ def test_integer_tableau_matches_fraction_tableau(program):
         assert all(isinstance(x, Fraction) for x in res.solution)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_programs())
+def test_one_start_serves_every_objective(program):
+    a, b, c = program
+    start = feasible_start(a, b)
+    if start is None:
+        assert fraction_simplex(a, b, c, []).status == "infeasible"
+        return
+    before = repr(start)
+    for objective in (c, [-x for x in c], c[::-1], c):
+        assert optimize(start, objective) == fraction_simplex(a, b, objective, [])
+    assert repr(start) == before
+
+
 def test_fraction_entries_raise_type_error():
     with pytest.raises(TypeError):
         solve_standard_form([[Fraction(1, 2), 1]], [1], [1, 0])
@@ -198,8 +220,6 @@ def test_matches_vertex_enumeration_oracle():
     rng = random.Random(2024)
     from itertools import combinations
 
-    from polycomp.linalg import solve_rational
-
     checked = 0
     while checked < 30:
         m, n = rng.randint(1, 2) + 1, rng.randint(3, 5)
@@ -213,7 +233,7 @@ def test_matches_vertex_enumeration_oracle():
         for k in range(1, m + 1):
             for cols in combinations(range(n), k):
                 sub = [[a[i][j] for j in cols] for i in range(m)]
-                sol = solve_rational(sub, b)
+                sol = fraction_solve(sub, b)
                 if sol is None or any(x < 0 for x in sol):
                     continue
                 val = sum(c[j] * x for j, x in zip(cols, sol))

@@ -23,7 +23,7 @@ from polycomp.triangulate import (
     triangulation_volumes,
 )
 
-from conftest import birkhoff, per_cell_unimodular
+from conftest import birkhoff, fraction_solve, per_cell_unimodular
 
 SEGMENT = LatticePolytope([(0,), (1,), (2,)])  # lattice Z, points 0,1,2
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -131,12 +131,10 @@ def test_triangulation_cells_cover_without_overlap():
 
     def barycentric_membership(cell, q):
         # solve q = sum l_i v_i, sum l_i = 1 exactly
-        from polycomp.linalg import solve_rational
-
         verts = [pts[i] for i in cell]
-        rows = [[Fraction(v[j]) for v in verts] for j in range(2)]
-        rows.append([Fraction(1)] * len(verts))
-        sol = solve_rational(rows, list(q) + [Fraction(1)])
+        rows = [[v[j] for v in verts] for j in range(2)]
+        rows.append([1] * len(verts))
+        sol = fraction_solve(rows, list(q) + [1])
         if sol is None:
             return None
         if any(l < 0 for l in sol):
