@@ -66,6 +66,11 @@ class StandardFormProgram:
         return sum(w * r for w, r in zip(self.weight, self.rhs))
 
     @cached_property
+    def columns(self):
+        """The matrix's columns as tuples, built once for every cell."""
+        return matrix_columns(self.matrix)
+
+    @cached_property
     def start(self):
         """Phase 1 of the simplex on the fiber, None when it is empty,
         computed once for every cell."""
@@ -114,44 +119,41 @@ class IPOutcome:
     reason: str | None = None  # on infeasible: "lp-infeasible" | "no-integer-point"
 
 
-def _fill_exact(columns, target, budget):
-    """A nonnegative integer combination of exactly ``budget`` columns hitting
-    target, or None.  Interval pruning per row over the remaining columns."""
+def _exact_filler(columns):
+    """``fill(target, budget)``: a nonnegative integer combination of exactly
+    ``budget`` columns hitting target, or None.  Interval pruning per row over
+    the remaining columns, whose bounds are built once for every target."""
     ncols = len(columns)
-    nrows = len(target)
-    if ncols == 0:
-        return () if budget == 0 and not any(target) else None
-    suffix_min = [[0] * nrows for _ in range(ncols + 1)]
-    suffix_max = [[0] * nrows for _ in range(ncols + 1)]
-    for j in range(ncols - 1, -1, -1):
-        for r in range(nrows):
-            suffix_min[j][r] = min(suffix_min[j + 1][r], columns[j][r])
-            suffix_max[j][r] = max(suffix_max[j + 1][r], columns[j][r])
+    lows = [[min(0, *row) for row in zip(*columns[j:])] for j in range(ncols)]
+    highs = [[max(0, *row) for row in zip(*columns[j:])] for j in range(ncols)]
 
-    counts = [0] * ncols
+    def fill(target, budget):
+        if ncols == 0:
+            return () if budget == 0 and not any(target) else None
+        counts = [0] * ncols
 
-    def rec(j, residual, remaining):
-        if j == ncols - 1:
-            if all(x == remaining * c for x, c in zip(residual, columns[j])):
-                counts[j] = remaining
-                return True
-            return False
-        lo = suffix_min[j]
-        hi = suffix_max[j]
-        for r in range(nrows):
-            if not remaining * lo[r] <= residual[r] <= remaining * hi[r]:
+        def rec(j, residual, remaining):
+            if j == ncols - 1:
+                if all(x == remaining * c for x, c in zip(residual, columns[j])):
+                    counts[j] = remaining
+                    return True
                 return False
-        col = columns[j]
-        for c in range(remaining + 1):
-            counts[j] = c
-            if rec(j + 1, [x - c * y for x, y in zip(residual, col)], remaining - c):
-                return True
-        counts[j] = 0
-        return False
+            for lo, hi, x in zip(lows[j], highs[j], residual):
+                if not remaining * lo <= x <= remaining * hi:
+                    return False
+            col = columns[j]
+            for c in range(remaining + 1):
+                counts[j] = c
+                if rec(j + 1, [x - c * y for x, y in zip(residual, col)], remaining - c):
+                    return True
+            counts[j] = 0
+            return False
 
-    if rec(0, list(target), budget):
-        return tuple(counts)
-    return None
+        if rec(0, list(target), budget):
+            return tuple(counts)
+        return None
+
+    return fill
 
 
 def ip_max(program, cell, minimize=False, lp=None):
@@ -174,9 +176,8 @@ def ip_max(program, cell, minimize=False, lp=None):
     if budget.denominator != 1 or budget < 0:
         return IPOutcome("infeasible", None, None, reason="no-integer-point")
     budget = int(budget)
-    columns = matrix_columns(program.matrix)
-    others = [c for j, c in enumerate(columns) if j != cell]
-    col_i = columns[cell]
+    col_i = program.columns[cell]
+    fill_exact = _exact_filler([c for j, c in enumerate(program.columns) if j != cell])
 
     if minimize:
         start = lp.value.numerator // lp.value.denominator
@@ -188,7 +189,7 @@ def ip_max(program, cell, minimize=False, lp=None):
 
     for t in values:
         residual = [x - t * y for x, y in zip(program.rhs, col_i)]
-        fill = _fill_exact(others, residual, budget - t)
+        fill = fill_exact(residual, budget - t)
         if fill is not None:
             table = list(fill[:cell]) + [t] + list(fill[cell:])
             return IPOutcome("optimal", t, tuple(table))

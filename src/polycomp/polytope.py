@@ -11,6 +11,10 @@ normalization.
 Facet enumeration is the double description method for every input size.
 The tests compare it against an independent brute-force hyperplane search
 through point subsets, which lives with them and not in the package.
+
+A point configuration runs it once, and splits each face into its facets
+by intersecting the face with the facets' point sets (Kaibel & Pfetsch
+2002), in the order a double description of the face would give.
 """
 
 from __future__ import annotations
@@ -62,19 +66,6 @@ class FacetIneq:
         return dot(self.lattice_normal, z) - self.lattice_offset
 
 
-def _project_to_pivot_coords(points):
-    """Project points onto coordinates where their affine hull is full-dim.
-
-    The pivot columns of the RREF of the difference matrix give a coordinate
-    subset on which the projection restricted to the affine hull is
-    injective, so the projected configuration has the same face structure.
-    """
-    base = points[0]
-    diffs = [vsub(p, base) for p in points[1:]]
-    _, pivots, _ = rref(diffs)
-    return [tuple(p[c] for c in pivots) for p in points], len(pivots)
-
-
 def _facets_dd(points, dim):
     """Facets of conv(points) by the double description method.
 
@@ -107,9 +98,7 @@ def _facets_dd(points, dim):
     start_set = set(pivots)
     start_mask = sum(1 << i for i in pivots)
 
-    rays = []
-    masks = []
-    values = []
+    rays, masks, values = [], [], []
     for i, red in zip(pivots, reduced):
         ray = primitive(red[n:])
         rays.append(ray)
@@ -119,13 +108,8 @@ def _facets_dd(points, dim):
     for c in range(n):
         if c in start_set:
             continue
-        neg = [i for i in range(len(rays)) if values[i][c] < 0]
         cbit = 1 << c
-        if not neg:
-            for i in range(len(rays)):
-                if values[i][c] == 0:
-                    masks[i] |= cbit
-            continue
+        neg = [i for i in range(len(rays)) if values[i][c] < 0]
         pos = [i for i in range(len(rays)) if values[i][c] > 0]
         zero = [i for i in range(len(rays)) if values[i][c] == 0]
         new_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
@@ -147,26 +131,17 @@ def _facets_dd(points, dim):
                 if not adjacent:
                     continue
                 vm = values[m][c]
-                combo = tuple(
-                    vp * rm - vm * rp for rp, rm in zip(rays[p], rays[m])
-                )
-                g = 0
-                for x in combo:
-                    g = gcd(g, x)
+                combo = tuple(vp * rm - vm * rp for rp, rm in zip(rays[p], rays[m]))
+                g = gcd(*combo)
                 if g > 1:
                     combo = tuple(x // g for x in combo)
-                val_p = values[p]
-                val_m = values[m]
-                if g > 1:
-                    vals = [(vp * b - vm * a) // g for a, b in zip(val_p, val_m)]
+                    vals = [(vp * b - vm * a) // g for a, b in zip(values[p], values[m])]
                 else:
-                    vals = [vp * b - vm * a for a, b in zip(val_p, val_m)]
+                    vals = [vp * b - vm * a for a, b in zip(values[p], values[m])]
                 new_rays.append(combo)
-                new_masks.append((mp & masks[m]) | cbit)
+                new_masks.append(common | cbit)
                 new_values.append(vals)
-        rays = new_rays
-        masks = new_masks
-        values = new_values
+        rays, masks, values = new_rays, new_masks, new_values
 
     facets = []
     for ray, vals in zip(rays, values):
@@ -178,23 +153,6 @@ def _facets_dd(points, dim):
         tight = frozenset(i for i, s in enumerate(slacks) if s == 0)
         facets.append((g, h, tight, slacks))
     return sorted(facets)
-
-
-def _facets_fulldim(points, dim):
-    return _facets_dd(points, dim) if dim else []
-
-
-def facet_index_subsets(points):
-    """For each facet of conv(points), the indices of points lying on it.
-
-    ``points`` may sit in a higher-dimensional space; they are projected to
-    full dimension first.  Returns None when the points are affinely
-    independent (a simplex needs no splitting).
-    """
-    projected, dim = _project_to_pivot_coords(points)
-    if dim == len(points) - 1:
-        return None
-    return [tight for _, _, tight, _ in _facets_fulldim(projected, dim)]
 
 
 def _reduce_mod_rows(vec, hnf_rows):
@@ -211,32 +169,73 @@ def _reduce_mod_rows(vec, hnf_rows):
 class PointConfiguration:
     """A fixed point list with a cache of face splits.
 
-    ``facet_subsets`` answers, for a subset of the points, how the facets of
-    its convex hull partition it.  The split depends only on geometry, never
-    on an ordering, so every pulling-triangulation recursion over the same
-    configuration shares this cache.
+    ``facet_subsets`` answers, for the point set of a face, how the facets of
+    that face partition it.  The split depends only on geometry, never on an
+    ordering, so every pulling-triangulation recursion over the same
+    configuration shares this cache.  One double description, on the pivot
+    coordinates of the point differences, gives the facets of conv(points)
+    with their point sets T(G); the facets of a face F are the
+    inclusion-maximal proper nonempty sets F ∩ T(G) (Kaibel & Pfetsch,
+    "Computing the face lattice of a polytope from its vertex-facet
+    incidences", 2002).  Restricted to F's affine hull, a normal G that is
+    valid on F and tight exactly on one of its facets is a positive multiple
+    of that facet's inner normal, so the facets come out in the order of a
+    double description of F alone: by primitive normal on F's pivots.
     """
 
     def __init__(self, points):
         self.points = tuple(tuple(int(x) for x in p) for p in points)
         self._cache = {}
+        self._hull = None
 
     def __len__(self):
         return len(self.points)
 
+    def _incidences(self):
+        """The points on their pivot coordinates, and (tight-point bitmask,
+        inner normal) for each facet of their hull, computed once."""
+        if self._hull is None:
+            base = self.points[0]
+            _, pivots, _ = rref([vsub(p, base) for p in self.points[1:]])
+            projected = [tuple(p[c] for c in pivots) for p in self.points]
+            facets = [(sum(1 << i for i in tight), g)
+                      for g, _, tight, _ in _facets_dd(projected, len(pivots))]
+            self._hull = projected, facets
+        return self._hull
+
     def facet_subsets(self, key):
-        """Facet point-index subsets of conv(points[key]); None for a simplex."""
+        """Facet point-index subsets of the face conv(points[key]), in the
+        order of their inner normals; None for a simplex.  ValueError when
+        ``key`` is not the point set of a face."""
         key = frozenset(key)
         if key not in self._cache:
-            ordered = sorted(key)
-            subs = facet_index_subsets([self.points[i] for i in ordered])
-            if subs is None:
-                self._cache[key] = None
-            else:
-                self._cache[key] = tuple(
-                    frozenset(ordered[i] for i in t) for t in subs
-                )
+            self._cache[key] = self._split(key)
         return self._cache[key]
+
+    def _split(self, key):
+        projected, facets = self._incidences()
+        mask = sum(1 << i for i in key)
+        closure = (1 << len(self.points)) - 1
+        normals = {}  # proper nonempty F ∩ T(G) -> the first G seen
+        for tight, g in facets:
+            common = mask & tight
+            if common == mask:
+                closure &= tight
+            elif common:
+                normals.setdefault(common, g)
+        if closure != mask:
+            raise ValueError("the key is not the point set of a face")
+        ordered = sorted(key)
+        base = projected[ordered[0]]
+        reduced, _, _ = rref([vsub(projected[i], base) for i in ordered[1:]])
+        if len(reduced) == len(ordered) - 1:
+            return None
+        kept = []
+        for common in sorted(normals, key=int.bit_count, reverse=True):
+            if all(common & k != common for k in kept):
+                kept.append(common)
+        kept.sort(key=lambda m: primitive([dot(normals[m], row) for row in reduced]))
+        return tuple(frozenset(i for i in ordered if m >> i & 1) for m in kept)
 
 
 class LatticePolytope:
@@ -281,7 +280,7 @@ class LatticePolytope:
 
     def facets(self):
         if self._facets is None:
-            raw = _facets_fulldim(list(self._pts_m), self.dim)
+            raw = _facets_dd(self._pts_m, self.dim)
             lifted = [self._lift_facet(g, h, tight, slacks) for g, h, tight, slacks in raw]
             lifted.sort(key=lambda f: (f.normal, f.offset))
             self._facets = tuple(lifted)

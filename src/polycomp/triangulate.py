@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .linalg import determinant, dot, rref, solve_fraction_free, vsub
-from .polytope import PointConfiguration
+from .linalg import AffineLattice, determinant, dot, rref, saturate_rows, solve_fraction_free, vsub
+from .polytope import PointConfiguration, _facets_dd
 
 DEFAULT_ORDERING_CAP = 9
 
@@ -154,9 +154,6 @@ def total_normalized_volume(polytope):
     facet's induced lattice).  Serves as the independent check that simplex
     volumes of any pulling triangulation sum correctly.
     """
-    from .linalg import AffineLattice, saturate_rows
-    from .polytope import _facets_fulldim
-
     lat = polytope.point_lattice()
     zpts = [lat.coords(p) for p in polytope.lattice_points()]
 
@@ -172,7 +169,7 @@ def total_normalized_volume(polytope):
         if len(local) == d + 1:
             return abs(determinant([vsub(p, local[0]) for p in local[1:]]))
         total = 0
-        for g, h, tight, _ in _facets_fulldim(local, d):
+        for g, h, tight, _ in _facets_dd(local, d):
             height = dot(g, local[0]) - h
             if height:
                 total += height * rec([local[i] for i in sorted(tight)])

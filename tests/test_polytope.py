@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polycomp import polytope
 from polycomp.cutpoly import complete_graph, cut_polytope
 from polycomp.linalg import (
     AffineLattice,
@@ -12,6 +13,7 @@ from polycomp.linalg import (
     hnf_basis,
     integer_kernel,
     matrix_rank,
+    rref,
     standard_lattice,
     vsub,
 )
@@ -20,12 +22,10 @@ from polycomp.polytope import (
     LatticePolytope,
     PointConfiguration,
     _facets_dd,
-    _project_to_pivot_coords,
     _reduce_mod_rows,
     affine_hull_equations,
     face_of,
     facet_enumeration,
-    facet_index_subsets,
     sublattice_through,
 )
 from polycomp.triangulate import pulling_triangulation_of
@@ -132,26 +132,95 @@ def cut_vectors(n):
     })
 
 
+def lifted(points, rng):
+    """The points under a random injective integer affine map into a higher
+    ambient space: the same configuration on other pivot coordinates."""
+    dim = len(points[0])
+    ambient = dim + rng.randint(1, 3)
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(ambient)]
+        if matrix_rank(m) == dim:
+            break
+    shift = [rng.randint(-3, 3) for _ in range(ambient)]
+    return [tuple(dot(row, p) + c for row, c in zip(m, shift)) for p in points]
+
+
+def random_configuration(seed):
+    """A full-dimensional non-simplex point set in dims 1-4, entries -2..2,
+    lifted into a higher ambient space for odd seeds."""
+    rng = random.Random(seed)
+    while True:
+        dim = rng.randint(1, 4)
+        count = rng.randint(dim + 2, dim + 5)
+        pts = sorted({tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(count)})
+        if len(pts) > dim + 1 and matrix_rank([vsub(p, pts[0]) for p in pts[1:]]) == dim:
+            return lifted(pts, rng) if seed % 2 else pts
+
+
 @pytest.mark.parametrize("points", [
     [(0,), (1,), (2,)],
     LatticePolytope([(0, 0), (3, 0), (0, 3)], lattice=standard_lattice(2)).lattice_points(),
     cut_vectors(4),
     [tuple(int(perm[i] == j) for i in range(3) for j in range(3))
      for perm in permutations(range(3))],
-], ids=["segment", "dilated-triangle", "cut-k4", "birkhoff-b3"])
+] + [random_configuration(seed) for seed in range(40)],
+    ids=["segment", "dilated-triangle", "cut-k4", "birkhoff-b3"]
+    + [f"random-{seed}" for seed in range(40)])
 def test_dd_matches_bruteforce_on_pulling_face_splits(points):
-    # every face a pulling triangulation splits, as facet_index_subsets sees it
+    # every face that pulling triangulations under a few orderings split,
+    # against brute force on the face's own pivot projection, in its order
     assert len(points) <= 12
     config = RecordingConfiguration(points)
-    pulling_triangulation_of(config, range(len(points)))
+    rng = random.Random(len(points))
+    order = list(range(len(points)))
+    for _ in range(3):
+        pulling_triangulation_of(config, order)
+        rng.shuffle(order)
     compared = 0
     for key in config.visited:
-        projected, dim = _project_to_pivot_coords([points[i] for i in sorted(key)])
-        if dim == len(key) - 1:
-            continue  # a simplex is never split
-        assert _facets_dd(projected, dim) == _facets_bruteforce(projected, dim)
+        ordered = sorted(key)
+        base = points[ordered[0]]
+        _, pivots, _ = rref([vsub(points[i], base) for i in ordered[1:]])
+        if len(pivots) == len(ordered) - 1:
+            assert config.facet_subsets(key) is None
+            continue
+        projected = [tuple(points[i][c] for c in pivots) for i in ordered]
+        expected = tuple(
+            frozenset(ordered[i] for i in tight)
+            for _, _, tight, _ in _facets_bruteforce(projected, len(pivots))
+        )
+        assert config.facet_subsets(key) == expected
         compared += 1
     assert compared >= 1
+
+
+def test_one_double_description_per_configuration(monkeypatch):
+    points = cut_polytope(complete_graph(5)).lattice_points()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _facets_dd(*args)
+
+    monkeypatch.setattr(polytope, "_facets_dd", counted)
+    triangulation = pulling_triangulation_of(PointConfiguration(points), range(len(points)))
+    assert len(triangulation) > 1
+    assert len(calls) == 1
+
+
+def test_facet_subsets_rejects_non_faces():
+    # the diagonals are simplices, and the rectangle has facets, but none is a face
+    with pytest.raises(ValueError):
+        PointConfiguration(UNIT_SQUARE).facet_subsets({0, 3})
+    cube = list(product((0, 1), repeat=3))
+    rectangle = [cube.index(p) for p in [(0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)]]
+    with pytest.raises(ValueError):
+        PointConfiguration(cube).facet_subsets(rectangle)
+
+
+def test_zero_dimensional_polytope_has_no_facets():
+    assert _facets_dd([(), ()], 0) == []
+    assert LatticePolytope([(1, 2)]).facets() == ()
 
 
 def test_dd_rejects_rank_deficient_rows():
@@ -326,12 +395,12 @@ def test_affine_hull_equations_of_birkhoff_like_slice():
     assert eqs == (((1, 1), 1),)
 
 
-def test_facet_index_subsets_simplex_returns_none():
-    assert facet_index_subsets([(0, 0), (1, 0), (0, 1)]) is None
+def test_facet_subsets_simplex_returns_none():
+    assert PointConfiguration([(0, 0), (1, 0), (0, 1)]).facet_subsets(range(3)) is None
 
 
-def test_facet_index_subsets_square():
-    subs = facet_index_subsets(UNIT_SQUARE)
+def test_facet_subsets_square():
+    subs = PointConfiguration(UNIT_SQUARE).facet_subsets(range(4))
     assert sorted(tuple(sorted(s)) for s in subs) == [
         (0, 1),
         (0, 2),
@@ -340,10 +409,10 @@ def test_facet_index_subsets_square():
     ]
 
 
-def test_facet_index_subsets_match_on_embedded_configuration():
+def test_facet_subsets_match_on_embedded_configuration():
     # same square, embedded in 3-space on a tilted plane
     embedded = [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]
-    subs = facet_index_subsets(embedded)
+    subs = PointConfiguration(embedded).facet_subsets(range(4))
     assert sorted(tuple(sorted(s)) for s in subs) == [
         (0, 1),
         (0, 2),
