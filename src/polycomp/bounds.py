@@ -122,10 +122,14 @@ class IPOutcome:
 def _exact_filler(columns):
     """``fill(target, budget)``: a nonnegative integer combination of exactly
     ``budget`` columns hitting target, or None.  Interval pruning per row over
-    the remaining columns, whose bounds are built once for every target."""
+    the remaining columns, whose bounds are built once for every target by
+    one backward pass of running minima and maxima."""
     ncols = len(columns)
-    lows = [[min(0, *row) for row in zip(*columns[j:])] for j in range(ncols)]
-    highs = [[max(0, *row) for row in zip(*columns[j:])] for j in range(ncols)]
+    lows, highs = [None] * ncols, [None] * ncols
+    lo = hi = [0] * (len(columns[0]) if columns else 0)
+    for j in range(ncols - 1, -1, -1):
+        lo = lows[j] = [min(a, x) for a, x in zip(lo, columns[j])]
+        hi = highs[j] = [max(a, x) for a, x in zip(hi, columns[j])]
 
     def fill(target, budget):
         if ncols == 0:

@@ -34,16 +34,6 @@ def parse_integer(value, what="integer"):
     raise InputError(f"{what}: expected an integer, got {type(value).__name__}")
 
 
-def parse_rational(value, what="rational"):
-    if isinstance(value, str) and "/" in value:
-        num, _, den = value.partition("/")
-        try:
-            return Fraction(int(num, 10), int(den, 10))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what}: not a p/q rational: {value!r}") from exc
-    return Fraction(parse_integer(value, what))
-
-
 def format_integer(value):
     """Decimal-string form used for values that may exceed 64 bits."""
     return str(int(value))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import index
 
 from .linalg import (
     AffineLattice,
@@ -184,7 +185,7 @@ class PointConfiguration:
     """
 
     def __init__(self, points):
-        self.points = tuple(tuple(int(x) for x in p) for p in points)
+        self.points = tuple(tuple(map(index, p)) for p in points)
         self._cache = {}
         self._hull = None
 
@@ -247,7 +248,7 @@ class LatticePolytope:
     """
 
     def __init__(self, points, lattice=None):
-        pts = sorted({tuple(int(x) for x in p) for p in points})
+        pts = sorted({tuple(map(index, p)) for p in points})
         if not pts:
             raise ValueError("a lattice polytope needs at least one point")
         if len({len(p) for p in pts}) != 1:

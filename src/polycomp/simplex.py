@@ -9,13 +9,12 @@ for one objective without changing it.  ``solve_standard_form`` is the two
 in sequence.
 
 The tableau is fraction-free (Edmonds 1967): an integer matrix ``M`` with
-one positive common denominator ``D`` stands for ``M / D``.  A pivot on
-``(r, c)`` with ``p = M[r][c]`` sets ``M[i] = (p * M[i] - M[i][c] * M[r]) // D``
-for every other row and then ``D = p``, after negating row ``r`` when
-``p < 0``.  ``D`` is the absolute determinant of the current basis, so every
-division is exact (Bareiss 1968).  Comparisons divide nothing: signs are
-read off ``M`` and ratios are compared by cross-multiplication.  Fractions
-are built only for the returned value and solution.
+one positive common denominator ``D`` stands for ``M / D``.  A pivot is
+``linalg.bareiss_pivot`` over every row, the same step that ``rref`` and
+``determinant`` take, and leaves ``D`` the absolute determinant of the
+current basis.  Comparisons divide nothing: signs are read off ``M`` and
+ratios are compared by cross-multiplication.  Fractions are built only for
+the returned value and solution.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
+
+from .linalg import bareiss_pivot
 
 
 @dataclass(frozen=True)
@@ -34,21 +35,8 @@ class LPResult:
 
 def _pivot(tableau, basis, row, col, d):
     """Pivot the integer tableau on (row, col); returns the new denominator."""
-    top = tableau[row]
-    p = top[col]
-    if p < 0:
-        top = tableau[row] = [-x for x in top]
-        p = -p
-    for i, tr in enumerate(tableau):
-        if i == row:
-            continue
-        f = tr[col]
-        if f:
-            tableau[i] = [(p * x - f * y) // d for x, y in zip(tr, top)]
-        elif p != d:
-            tableau[i] = [p * x // d for x in tr]
     basis[row] = col
-    return p
+    return bareiss_pivot(tableau, row, col, d, range(len(tableau)))
 
 
 def _run_simplex(tableau, basis, ncols, d):
@@ -132,7 +120,7 @@ def optimize(start, c):
     """
     c = list(map(index, c))
     n = len(c)
-    # _pivot replaces the start's tuple rows instead of writing into them
+    # bareiss_pivot replaces the start's tuple rows instead of writing into them
     tableau, basis, d = list(start[0]), list(start[1]), start[2]
     # the objective row is d*c - sum of c[basis[i]] * row i
     obj = [d * x for x in c] + [0]

@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +133,48 @@ def test_weak_duality_random_instances():
         assert lp.value >= ip.value
         assert sum(ip.table) == p.budget
         trials += 1
+
+
+def _fiber_points(a, b, norm):
+    """Every nonnegative integer x with sum(x) == norm and a x == b."""
+    ncols = len(a[0])
+    points = []
+    for combo in combinations_with_replacement(range(ncols), norm):
+        x = tuple(combo.count(j) for j in range(ncols))
+        if all(sum(r * v for r, v in zip(row, x)) == rb for row, rb in zip(a, b)):
+            points.append(x)
+    return points
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda rows: st.lists(
+    st.tuples(*[st.integers(-2, 3)] * rows), min_size=2, max_size=5)), st.data())
+def test_ip_max_matches_enumeration_of_the_fiber(tails, data):
+    # a top row of k's makes the matrix homogeneous: every point of the fiber
+    # has 1-norm b[0] / k, so its integer points are finitely many
+    k = data.draw(st.integers(1, 2))
+    a = [[k] * len(tails)] + [list(row) for row in zip(*tails)]
+    columns = matrix_columns(a)
+    if data.draw(st.booleans()):
+        counts = data.draw(st.lists(st.integers(0, 2), min_size=len(columns),
+                                    max_size=len(columns)))
+        b = [sum(c * col[r] for c, col in zip(counts, columns)) for r in range(len(a))]
+    else:
+        b = [data.draw(st.integers(0, 8))] + data.draw(
+            st.lists(st.integers(-4, 6), min_size=len(tails[0]), max_size=len(tails[0])))
+    program = make_program(a, b)
+    points = _fiber_points(a, b, b[0] // k) if b[0] % k == 0 else []
+    for cell in range(len(columns)):
+        for minimize in (False, True):
+            res = ip_max(program, cell, minimize=minimize)
+            if not points:
+                lp = lp_max(program, cell, minimize=minimize)
+                reason = "lp-infeasible" if lp.status == "infeasible" else "no-integer-point"
+                assert (res.status, res.reason) == ("infeasible", reason)
+                continue
+            best = (min if minimize else max)(x[cell] for x in points)
+            assert res.status == "optimal" and res.value == best
+            assert res.table in points and res.table[cell] == best
 
 
 def test_lp_min_ip_min_flagged_path():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polycomp.linalg import (
     AffineLattice,
     affine_lattice_of,
+    bareiss_pivot,
     determinant,
     hermite_normal_form,
     hnf_basis,
@@ -61,14 +62,6 @@ def test_determinant_empty_and_singular():
 def test_determinant_rejects_nonsquare():
     with pytest.raises(ValueError):
         determinant([[1, 2, 3], [4, 5, 6]])
-
-
-def test_determinant_matches_permutation_expansion():
-    rng = random.Random(20240311)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert determinant(m) == naive_determinant(m)
 
 
 def test_hnf_identity():
@@ -190,7 +183,7 @@ def test_solve_fraction_free_and_nullspace():
 
 def test_rref_pivots():
     assert rref([[0, 2], [1, 1]]) == ([[2, 0], [0, 2]], [0, 1], 2)
-    # a negative last pivot flips the sign of d and E
+    # a negative pivot row is negated, so d > 0
     assert rref([[-3, 1]]) == ([[3, -1]], [0], 3)
     assert rref([[0, 0], [0, 0]]) == ([], [], 1)
     assert rref([]) == ([], [], 1)
@@ -209,6 +202,40 @@ _matrices = st.integers(1, 7).flatmap(
         )
     )
 )
+
+
+_square_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_square_matrices)
+def test_determinant_matches_permutation_expansion(m):
+    assert determinant(m) == naive_determinant(m)
+
+
+def test_bareiss_pivot_negates_a_negative_pivot_and_replaces_target_rows():
+    rows = [(-2, 1, 0), (3, 0, 1), (0, 5, 5)]
+    assert bareiss_pivot(rows, 0, 0, 1, [1]) == 2
+    assert rows == [[2, -1, 0], [0, 3, 2], (0, 5, 5)]
+    # the next pivot divides by the previous one exactly: 3 * RREF of rows 0-1
+    assert bareiss_pivot(rows, 1, 1, 2, [0, 1]) == 3
+    assert rows == [[3, 0, 1], [0, 3, 2], (0, 5, 5)]
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 2.5])
+def test_non_integer_entries_raise_type_error(bad):
+    with pytest.raises(TypeError):
+        determinant([[bad, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        hermite_normal_form([[bad, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        AffineLattice((bad, 0), ((1, 0),))
+    with pytest.raises(TypeError):
+        AffineLattice((0, 0), ((bad, 0),))
+    with pytest.raises(TypeError):
+        affine_lattice_of([(0, 0), (bad, 1)])
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
@@ -339,6 +340,15 @@ def test_non_full_dimensional_polytope():
 def test_declared_lattice_must_contain_generators():
     with pytest.raises(ValueError):
         LatticePolytope([(0, 0), (1, 1)], lattice=AffineLattice((0, 0), ((2, 0), (0, 2))))
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 2.5])
+def test_non_integer_coordinates_raise_type_error(bad):
+    # int() would silently truncate, e.g. [(1/2,), (1,)] to the segment [0, 1]
+    with pytest.raises(TypeError):
+        LatticePolytope([(bad, 0), (1, 1)])
+    with pytest.raises(TypeError):
+        PointConfiguration([(0, 0), (bad, 1)])
 
 
 def test_vertices_of_dilated_triangle():
