@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations
+from operator import index
 
 from .compressed import is_compressed
 from .linalg import affine_lattice_of, primitive, solve_fraction_free
@@ -82,7 +83,7 @@ def _homogeneous(a, message):
     w = find_weight(a)
     if w is None:
         raise ValueError(message)
-    return tuple(tuple(int(x) for x in row) for row in a), w
+    return tuple(tuple(map(index, row)) for row in a), w
 
 
 def make_program(a, b):
@@ -90,7 +91,7 @@ def make_program(a, b):
     matrix, w = _homogeneous(a, "matrix is not homogeneous (no weight vector w.A_j = 1)")
     if len(b) != len(matrix):
         raise ValueError("right-hand side length must match the row count")
-    return StandardFormProgram(matrix=matrix, rhs=tuple(int(x) for x in b), weight=w)
+    return StandardFormProgram(matrix=matrix, rhs=tuple(map(index, b)), weight=w)
 
 
 def lp_max(program, cell, minimize=False):

@@ -102,7 +102,10 @@ def cmd_triangulate(args):
 
 def cmd_cut_classify(args):
     graph = _load(args.graph, graph_from_json)
-    k5 = has_minor(graph, "K5")
+    try:
+        k5 = has_minor(graph, "K5")
+    except ValueError as exc:
+        raise InputError(str(exc))
     longest = max_induced_cycle(graph)
     compressed = not k5 and longest <= 4
     _emit(

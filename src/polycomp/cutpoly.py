@@ -5,12 +5,31 @@ cut polytope.  For graphs with no K5 minor the polytope is cut out by box
 inequalities together with one inequality per (induced cycle, odd edge
 subset), and whether the polytope is compressed reduces to two combinatorial
 graph conditions: no K5 minor and no induced cycle longer than four.
+
+``has_minor`` decides K4 and K5 minors from classical structure, and searches
+only where the structure gives no answer:
+
+- reduction: deleting vertices of degree <= 1 and suppressing vertices of
+  degree 2 keeps a K_k minor for k >= 4 (the argument is in ``has_minor``);
+- Dirac (1952): a graph of minimum degree >= 3 has a K4 minor, so the K4
+  test is Duffin's series-parallel reduction;
+- Mader (1968): a graph with n >= 5 vertices and m >= 3n - 5 edges has a
+  K5 minor;
+- Wagner (1937), with Kuratowski: a planar graph has no K5 minor.  Planarity
+  is the path addition of Demoucron, Malgrange & Pertuiset (1964), run on
+  each biconnected block.
+
+What is left, a nonplanar block below Mader's bound, goes to a branch-set
+search with a fixed node budget, which refuses with ``ValueError`` rather
+than run without bound.  ``chordless_cycles`` and every graph routine here
+use explicit stacks, so no recursion depth grows with the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 
 from .linalg import matrix_rank, standard_lattice, vsub
 from .polytope import FacetIneq, LatticePolytope
@@ -18,6 +37,10 @@ from .polytope import FacetIneq, LatticePolytope
 DEFAULT_CUT_VERTEX_CAP = 7
 
 _MINOR_ORDER = {"K4": 4, "K5": 5}
+
+# nodes of the branch-set search on one nonplanar core, about 5 s of
+# CPython 3.11; every search on the benchmark's graphs stops below 100,000
+MINOR_SEARCH_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -104,93 +127,344 @@ def cut_polytope(graph, cap=DEFAULT_CUT_VERTEX_CAP):
 
 
 def has_minor(graph, minor):
-    """Whether the graph contains the given complete graph as a minor.
+    """Whether the graph contains the complete graph K_k as a minor.
 
-    Exhaustive branch-set search: every vertex is assigned to one of k
-    candidate branch sets or left unused; an assignment witnesses the minor
-    when each set is nonempty and connected and all pairs of sets are joined
-    by an edge.  Sets open in vertex order, which kills the labeling symmetry.
+    ``minor`` is "K4", "K5" or an integer k >= 0.  The answer is exact; the
+    pipeline is the one in the module docstring.
+
+    1. K0 is a minor of every graph, K1 needs a vertex, K2 an edge and K3 a
+       cycle, which is what is left after deleting leaves.
+    2. For k >= 4, reduce: delete vertices of degree <= 1 and suppress
+       vertices of degree 2 (remove v, join its two neighbours, drop a
+       parallel edge).  Neither step changes whether a K_k minor exists.
+       A branch set holding a vertex of degree <= 2 must touch k - 1 >= 3
+       other sets, so it is not that vertex alone; a leaf is then a leaf of
+       its set, adjacent to nothing else, and can be dropped.  A degree-2
+       vertex v with neighbours a, b that sits in a set B shares it with a
+       or b, say a; B - v stays connected through the new edge ab, and an
+       edge vb to another set becomes ab.  Conversely the reduced graph is
+       a minor of the graph (contract va, or delete v when ab is an edge).
+    3. K4: a nonempty reduced graph has minimum degree >= 3 and so a K4
+       minor (Dirac 1952); the reduction is Duffin's series-parallel test.
+    4. k >= 5: K_k is 2-connected, so a K_k minor lies in one biconnected
+       block, and each block is reduced and split again until it is a
+       single block.  A block with m >= 3n - 5 edges has a K5 minor
+       (Mader 1968), and a planar block has no K5 minor (Wagner 1937), so
+       no K_k for k >= 5.  Only nonplanar blocks below Mader's bound, the
+       cores, reach the branch-set search.
+
+    The search visits at most ``MINOR_SEARCH_BUDGET`` nodes per core and
+    raises ``ValueError`` naming the core's size when that is not enough.
     """
-    k = _MINOR_ORDER[minor] if isinstance(minor, str) else int(minor)
-    n = graph.n
-    if n < k or len(graph.edges) < k * (k - 1) // 2:
-        return False
+    k = _MINOR_ORDER[minor] if isinstance(minor, str) else index(minor)
+    if k < 0:
+        raise ValueError(f"minor order {k} is negative")
     adj = graph.adjacency()
-    assignment = {}
+    if k <= 1:
+        return graph.n >= k
+    if k == 2:
+        return bool(graph.edges)
+    if k <= 4:
+        _reduce(adj, suppress=k == 4)
+        return bool(adj)
+    pieces = [adj]
+    while pieces:
+        piece = pieces.pop()
+        _reduce(piece, suppress=True)
+        blocks = _blocks(piece)
+        if len(blocks) > 1:
+            pieces.extend(_subgraph(piece, b) for b in blocks if len(b) >= k)
+            continue
+        n = len(piece)
+        m = sum(len(nbrs) for nbrs in piece.values()) // 2
+        if n < k or m < k * (k - 1) // 2:
+            continue
+        if k == 5 and m >= 3 * n - 5:
+            return True
+        if not _planar_block(piece) and _branch_set_search(piece, k):
+            return True
+    return False
 
-    def connected(group):
-        stack = [next(iter(group))]
-        seen = {stack[0]}
+
+def _reduce(adj, suppress):
+    """Delete vertices of degree <= 1 and, when ``suppress``, suppress those
+    of degree 2, until none is left; works in place on the adjacency."""
+    work = list(adj)
+    while work:
+        v = work.pop()
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) > (2 if suppress else 1):
+            continue
+        del adj[v]
+        for w in nbrs:
+            adj[w].discard(v)
+            work.append(w)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+
+
+def _subgraph(adj, vertices):
+    return {v: adj[v] & vertices for v in vertices}
+
+
+def _blocks(adj):
+    """Vertex sets of the biconnected blocks with at least two vertices,
+    bridges included (Hopcroft-Tarjan, with an explicit stack)."""
+    number = {}
+    low = {}
+    blocks = []
+    for root in adj:
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        visited = [root]
+        stack = [(root, None, iter(adj[root]))]
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in group and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(group)
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w not in number:
+                    number[w] = low[w] = len(number)
+                    visited.append(w)
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent:
+                    low[v] = min(low[v], number[w])
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= number[parent]:
+                    block = {parent}
+                    while True:
+                        w = visited.pop()
+                        block.add(w)
+                        if w == v:
+                            break
+                    blocks.append(block)
+    return blocks
 
-    def complete_assignment():
-        groups = [[] for _ in range(k)]
-        for v, g in assignment.items():
-            groups[g].append(v)
-        if any(not grp for grp in groups):
-            return False
-        for grp in groups:
-            if not connected(grp):
-                return False
-        for a, b in combinations(range(k), 2):
-            if not any(w in adj[v] for v in groups[a] for w in groups[b]):
-                return False
+
+def _planar_block(adj):
+    """Whether a biconnected graph is planar, by the path addition of
+    Demoucron, Malgrange & Pertuiset (1964).
+
+    Start from an embedded cycle with its two faces.  Every fragment (a
+    chord of the embedded part, or a component of the rest with its edges
+    to it) must fit in a face that holds all its attachment vertices.
+    Embed a path through a fragment that fits one face only, else through
+    any fragment, splitting that face in two; the graph is nonplanar
+    exactly when some fragment fits no face.
+    """
+    n = len(adj)
+    m = sum(len(nbrs) for nbrs in adj.values()) // 2
+    if n < 5:
         return True
+    if m > 3 * n - 6:
+        return False
+    cycle = _cycle(adj)
+    embedded = set(cycle)
+    used = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    faces = [cycle, list(cycle)]
+    while True:
+        best = None
+        for attach, inner in _fragments(adj, embedded, used):
+            fits = [f for f in faces if attach <= set(f)]
+            if not fits:
+                return False
+            if best is None or len(fits) < len(best[2]):
+                best = (attach, inner, fits)
+                if len(fits) == 1:
+                    break
+        if best is None:
+            return True
+        attach, inner, fits = best
+        path = _fragment_path(adj, attach, inner)
+        face = fits[0]
+        faces.remove(face)
+        i = face.index(path[0])
+        face = face[i:] + face[:i]
+        j = face.index(path[-1])
+        faces.append(face[: j + 1] + path[-2:0:-1])
+        faces.append(path[:-1] + face[j:])
+        embedded.update(path)
+        used.update(frozenset(e) for e in zip(path, path[1:]))
 
-    def place(v, opened):
-        if k - opened > n - v + 1:
-            return False
-        if v > n:
-            return opened == k and complete_assignment()
-        limit = min(opened + 1, k)
-        for g in range(limit):
-            assignment[v] = g
-            if place(v + 1, max(opened, g + 1)):
+
+def _cycle(adj):
+    """Some cycle of a graph that has one, as a vertex list (depth-first)."""
+    root = next(iter(adj))
+    path = [root]
+    depth = {root: 0}
+    stack = [iter(adj[root])]
+    while stack:
+        for w in stack[-1]:
+            if w in depth:
+                if depth[w] < len(path) - 2:
+                    return path[depth[w]:]
+                continue
+            depth[w] = len(path)
+            path.append(w)
+            stack.append(iter(adj[w]))
+            break
+        else:
+            stack.pop()
+            path.pop()
+    raise RuntimeError("a biconnected block has no cycle")
+
+
+def _fragments(adj, embedded, used):
+    """The fragments of the graph relative to its embedded part, as
+    (attachment set, inner vertex set); a chord has no inner vertices."""
+    for v in embedded:
+        for w in adj[v]:
+            if w in embedded and v < w and frozenset((v, w)) not in used:
+                yield {v, w}, set()
+    seen = set()
+    for v in adj:
+        if v in embedded or v in seen:
+            continue
+        inner = {v}
+        attach = set()
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for w in adj[x]:
+                if w in embedded:
+                    attach.add(w)
+                elif w not in inner:
+                    inner.add(w)
+                    stack.append(w)
+        seen |= inner
+        yield attach, inner
+
+
+def _fragment_path(adj, attach, inner):
+    """A path through a fragment between two of its attachments."""
+    if not inner:
+        return sorted(attach)
+    a = min(attach)
+    start = next(x for x in adj[a] if x in inner)
+    parent = {start: a}
+    queue = [start]
+    for x in queue:
+        b = next((w for w in adj[x] if w in attach and w != a), None)
+        if b is not None:
+            path = [b, x]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for w in adj[x]:
+            if w in inner and w not in parent:
+                parent[w] = x
+                queue.append(w)
+    raise RuntimeError("a fragment of a biconnected block has one attachment")
+
+
+def _branch_set_search(adj, k):
+    """Whether some k disjoint connected vertex sets are pairwise adjacent.
+
+    Every vertex goes to one of k branch sets or to none; sets open in
+    vertex order, which kills the labeling symmetry.  The depth-first
+    search keeps its choices on an explicit stack and visits at most
+    ``MINOR_SEARCH_BUDGET`` nodes.
+    """
+    verts = sorted(adj)
+    n = len(verts)
+    group = [0] * n
+    opened = [0] * (n + 1)
+    choice = [0] * (n + 1)
+    nodes = 0
+    i = 0
+    while i >= 0:
+        if i == n:
+            if opened[n] == k and _is_model(adj, verts, group, k):
                 return True
-            del assignment[v]
-        return place(v + 1, opened)
+            i -= 1
+            continue
+        limit = min(opened[i] + 1, k)
+        c = choice[i]
+        if c > limit or k - opened[i] > n - i:
+            choice[i] = 0
+            i -= 1
+            continue
+        nodes += 1
+        if nodes > MINOR_SEARCH_BUDGET:
+            m = sum(len(nbrs) for nbrs in adj.values()) // 2
+            raise ValueError(
+                f"K{k} minor search gave up after {MINOR_SEARCH_BUDGET} nodes "
+                f"on a nonplanar core with {n} vertices and {m} edges"
+            )
+        choice[i] = c + 1
+        group[i] = c if c < limit else -1
+        opened[i + 1] = max(opened[i], group[i] + 1)
+        i += 1
+    return False
 
-    return place(1, 0)
+
+def _is_model(adj, verts, group, k):
+    sets = [set() for _ in range(k)]
+    for v, g in zip(verts, group):
+        if g >= 0:
+            sets[g].add(v)
+    for s in sets:
+        stack = [next(iter(s))]
+        reached = {stack[0]}
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in s and w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != len(s):
+            return False
+    return all(
+        any(adj[v] & sets[b] for v in sets[a]) for a, b in combinations(range(k), 2)
+    )
 
 
 def chordless_cycles(graph):
     """All induced cycles, each as a vertex tuple starting at its minimum.
 
-    DFS over chordless paths: a path may only be extended by a vertex whose
-    single adjacency into the path is its endpoint, and it closes the moment
-    the start vertex becomes adjacent.
+    DFS over chordless paths, on an explicit stack: a path may only be
+    extended by a vertex whose single adjacency into the path is its
+    endpoint, and it closes the moment the start vertex becomes adjacent.
+    ``inside[w]`` counts the path's internal vertices adjacent to w, so a
+    chord is one lookup.
     """
     adj = graph.adjacency()
+    ordered = {v: sorted(nbrs) for v, nbrs in adj.items()}
+    inside = dict.fromkeys(adj, 0)
     found = {}
-
-    def extend(path, members):
-        a = path[0]
-        last = path[-1]
-        internal = path[1:-1]
-        for w in sorted(adj[last]):
-            if w == a or w < a or w in members:
-                continue
-            if any(w in adj[u] for u in internal):
-                continue
-            if a in adj[w]:
-                if len(path) >= 2:
-                    cycle = path + (w,)
+    for a, b in graph.edges:
+        path = [a, b]
+        members = {a, b}
+        stack = [iter(ordered[b])]
+        while stack:
+            for w in stack[-1]:
+                if w <= a or w in members or inside[w]:
+                    continue
+                if a in adj[w]:
+                    cycle = (*path, w)
                     key = frozenset(
                         (min(x, y), max(x, y))
                         for x, y in zip(cycle, cycle[1:] + cycle[:1])
                     )
                     found.setdefault(key, cycle)
+                    continue
+                for u in adj[path[-1]]:
+                    inside[u] += 1
+                path.append(w)
+                members.add(w)
+                stack.append(iter(ordered[w]))
+                break
             else:
-                extend(path + (w,), members | {w})
-
-    for a, b in graph.edges:
-        extend((a, b), {a, b})
+                stack.pop()
+                members.discard(path.pop())
+                if stack:
+                    for u in adj[path[-1]]:
+                        inside[u] -= 1
     return sorted(found.values(), key=lambda c: (len(c), c))
 
 

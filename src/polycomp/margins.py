@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
+from operator import index
 
 from .compressed import is_compressed
 from .cutpoly import Graph, cut_polytope, cut_vectors, has_minor, max_induced_cycle
@@ -114,7 +115,7 @@ def marginal_matrix(complex_, d):
     in lexicographic order; the column of a cell has a single 1 in each
     facet's block, at the row whose margin cell agrees with it.
     """
-    d = tuple(int(x) for x in d)
+    d = tuple(map(index, d))
     if len(d) != complex_.n:
         raise ValueError("d must assign a size to every ground-set element")
     if any(x < 1 for x in d):
@@ -230,7 +231,7 @@ def is_decomposable(complex_, _memo=None):
 
 def boundary_simplex_classifier(n, d):
     """Compressedness of the boundary-of-a-simplex model, in closed form."""
-    d = tuple(int(x) for x in d)
+    d = tuple(map(index, d))
     if n < 3 or len(d) != n:
         raise ValueError("the boundary model needs n >= 3 sizes")
     if sum(1 for x in d if x > 2) <= 2:
@@ -349,7 +350,7 @@ def margins_compressed(complex_, d, column_cap=DEFAULT_COLUMN_CAP):
     binary graph; generic certifier when the column count is below the cap.
     The returned rule is the first that decided.
     """
-    d = tuple(int(x) for x in d)
+    d = tuple(map(index, d))
     if len(d) != complex_.n or any(x < 2 for x in d):
         raise ValueError("d must assign a size >= 2 to every vertex")
 

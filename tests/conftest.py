@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
+from polycomp.cutpoly import _MINOR_ORDER
 from polycomp.linalg import determinant, dot, primitive, rref, vsub
 from polycomp.polytope import LatticePolytope
 
@@ -115,3 +116,59 @@ def fraction_solve(rows, b):
     for row, c in zip(reduced, pivots):
         x[c] = row[-1]
     return x
+
+
+def has_minor_exhaustive(graph, minor):
+    """Whether the graph contains the given complete graph as a minor.
+
+    Exhaustive branch-set search: every vertex is assigned to one of k
+    candidate branch sets or left unused; an assignment witnesses the minor
+    when each set is nonempty and connected and all pairs of sets are joined
+    by an edge.  Sets open in vertex order, which kills the labeling symmetry.
+    """
+    k = _MINOR_ORDER[minor] if isinstance(minor, str) else int(minor)
+    n = graph.n
+    if n < k or len(graph.edges) < k * (k - 1) // 2:
+        return False
+    adj = graph.adjacency()
+    assignment = {}
+
+    def connected(group):
+        stack = [next(iter(group))]
+        seen = {stack[0]}
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w in group and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(group)
+
+    def complete_assignment():
+        groups = [[] for _ in range(k)]
+        for v, g in assignment.items():
+            groups[g].append(v)
+        if any(not grp for grp in groups):
+            return False
+        for grp in groups:
+            if not connected(grp):
+                return False
+        for a, b in combinations(range(k), 2):
+            if not any(w in adj[v] for v in groups[a] for w in groups[b]):
+                return False
+        return True
+
+    def place(v, opened):
+        if k - opened > n - v + 1:
+            return False
+        if v > n:
+            return opened == k and complete_assignment()
+        limit = min(opened + 1, k)
+        for g in range(limit):
+            assignment[v] = g
+            if place(v + 1, max(opened, g + 1)):
+                return True
+            del assignment[v]
+        return place(v + 1, opened)
+
+    return place(1, 0)

@@ -53,6 +53,14 @@ def test_find_weight_failure():
         make_program([[1, 2]], [1])
 
 
+def test_make_program_rejects_non_integer_entries():
+    # int() used to truncate these to the fiber of b = (2, 2)
+    with pytest.raises(TypeError):
+        make_program(SEGMENT_MATRIX, [Fraction(5, 2), 2.7])
+    with pytest.raises(TypeError):
+        make_program(SEGMENT_MATRIX, [2, 2.0])
+
+
 def test_cell_range_is_checked_per_call():
     p = make_program(SEGMENT_MATRIX, (1, 1))
     for cell in (-1, 3):

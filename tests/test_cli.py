@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import polycomp
+import polycomp.cutpoly as cutpoly
 from polycomp.cli import main
 
 SQUARE = {"points": [[0, 0], [1, 0], [0, 1], [1, 1]], "lattice": "auto"}
@@ -93,6 +97,45 @@ def test_cut_classify_k3(tmp_path, capsys):
     code, out, _ = run(capsys, ["cut-classify", "--graph", path])
     assert code == 0
     assert json.loads(out)["compressed"] is True
+
+
+def grid(rows, cols):
+    edges = [[r * cols + c + 1, r * cols + c + 2] for r in range(rows) for c in range(cols - 1)]
+    edges += [[r * cols + c + 1, (r + 1) * cols + c + 1] for r in range(rows - 1) for c in range(cols)]
+    return {"n": rows * cols, "edges": edges}
+
+
+@pytest.mark.parametrize(
+    "graph, k5, longest",
+    [
+        ({"n": 1200, "edges": K5["edges"]}, True, 3),
+        ({"n": 1200, "edges": [[i, i + 1] for i in range(1, 1200)] + [[1, 1200]]}, False, 1200),
+        (grid(3, 4), False, 10),
+        (grid(5, 5), False, 16),
+    ],
+    ids=["k5-plus-isolated", "cycle-1200", "grid-3x4", "grid-5x5"],
+)
+def test_cut_classify_large_graphs_in_a_subprocess(tmp_path, graph, k5, longest):
+    path = write(tmp_path, "graph.json", graph)
+    res = subprocess.run(
+        [sys.executable, "-m", "polycomp", "cut-classify", "--graph", path],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(polycomp.__file__).parents[1])},
+    )
+    assert res.stderr == ""
+    assert res.returncode == 1
+    payload = json.loads(res.stdout)
+    assert payload == {"compressed": False, "k5_minor": k5, "max_induced_cycle": longest}
+
+
+def test_cut_classify_refuses_at_the_search_budget(tmp_path, capsys, monkeypatch):
+    k34 = {"n": 7, "edges": [[i, j] for i in (1, 2, 3) for j in (4, 5, 6, 7)]}
+    path = write(tmp_path, "k34.json", k34)
+    monkeypatch.setattr(cutpoly, "MINOR_SEARCH_BUDGET", 10)
+    code, out, err = run(capsys, ["cut-classify", "--graph", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: K5 minor search gave up") and err.count("\n") == 1
 
 
 def test_margin_classify(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
+import polycomp.cutpoly as cutpoly
 from polycomp.compressed import is_compressed
 from polycomp.cutpoly import (
     Graph,
@@ -19,6 +22,8 @@ from polycomp.cutpoly import (
     max_induced_cycle,
     path_graph,
 )
+
+from conftest import has_minor_exhaustive
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -81,6 +86,115 @@ def test_minors():
     wheel = Graph(5, ((1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (2, 5), (3, 5), (4, 5)))
     assert has_minor(wheel, "K4")
     assert not has_minor(wheel, "K5")
+
+
+def all_graphs(n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    for mask in range(2 ** len(pairs)):
+        yield Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+
+
+def random_graphs(label, count, sizes, density):
+    rng = random.Random(label)
+    for _ in range(count):
+        n = rng.randint(*sizes)
+        p = rng.uniform(*density)
+        yield Graph(n, tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p))
+
+
+def from_networkx(g):
+    g = nx.convert_node_labels_to_integers(g, 1)
+    return Graph(g.number_of_nodes(), tuple(tuple(sorted(e)) for e in g.edges()))
+
+
+def to_networkx(graph):
+    g = nx.Graph()
+    g.add_nodes_from(range(1, graph.n + 1))
+    g.add_edges_from(graph.edges)
+    return g
+
+
+def subdivided(graph, times):
+    """The graph with its first ``times`` edges subdivided once each."""
+    edges = list(graph.edges)
+    n = graph.n
+    for _ in range(times):
+        i, j = edges.pop(0)
+        n += 1
+        edges += [(i, n), (j, n)]
+    return Graph(n, tuple(edges))
+
+
+def test_has_minor_matches_exhaustive_search_on_every_small_graph():
+    for n in range(6):
+        for g in all_graphs(n):
+            for k in (0, 1, 2, 3, "K4", "K5"):
+                assert has_minor(g, k) == has_minor_exhaustive(g, k), (g, k)
+
+
+def test_has_minor_matches_exhaustive_search_on_random_graphs():
+    for g in random_graphs("has_minor/oracle", 60, (6, 9), (0.2, 0.7)):
+        for k in ("K4", "K5"):
+            assert has_minor(g, k) == has_minor_exhaustive(g, k), (g, k)
+
+
+def test_has_minor_rejects_negative_order():
+    with pytest.raises(ValueError, match="negative"):
+        has_minor(K4, -1)
+
+
+def test_has_minor_on_large_sparse_graphs():
+    # the reduction works on a worklist, so n sets no recursion depth
+    k5_plus = Graph(1200, K5.edges)
+    assert has_minor(k5_plus, "K5") and has_minor(k5_plus, "K4")
+    assert not has_minor(cycle_graph(1200), "K4")
+    assert not has_minor(from_networkx(nx.grid_2d_graph(5, 5)), "K5")
+
+
+def planar(graph):
+    adj = graph.adjacency()
+    return all(
+        cutpoly._planar_block(cutpoly._subgraph(adj, b)) for b in cutpoly._blocks(adj)
+    )
+
+
+def test_planarity_and_blocks_match_networkx():
+    graphs = list(random_graphs("planarity/oracle", 400, (1, 12), (0.1, 0.7)))
+    for base in (K5, from_networkx(nx.complete_bipartite_graph(3, 3))):
+        graphs += [subdivided(base, t) for t in range(len(base.edges) + 1)]
+    graphs += [from_networkx(nx.wheel_graph(n)) for n in range(4, 12)]
+    graphs += [from_networkx(nx.grid_2d_graph(r, c)) for r in range(1, 6) for c in range(r, 7)]
+    graphs += [from_networkx(nx.petersen_graph()), from_networkx(nx.circulant_graph(8, [1, 4]))]
+    for g in graphs:
+        ref = to_networkx(g)
+        assert planar(g) == nx.check_planarity(ref)[0], g
+        blocks = sorted(sorted(b) for b in cutpoly._blocks(g.adjacency()))
+        assert blocks == sorted(sorted(b) for b in nx.biconnected_components(ref)), g
+
+
+def test_minor_search_refuses_at_its_budget(monkeypatch):
+    k34 = from_networkx(nx.complete_bipartite_graph(3, 4))
+    assert not has_minor(k34, "K5")
+    monkeypatch.setattr(cutpoly, "MINOR_SEARCH_BUDGET", 10)
+    with pytest.raises(ValueError, match="after 10 nodes on a nonplanar core with 7 vertices"):
+        has_minor(k34, "K5")
+    # the structural answers need no search
+    assert has_minor(k34, "K4")
+    assert has_minor(K5, "K5")
+    assert not has_minor(from_networkx(nx.wheel_graph(9)), "K5")
+
+
+def edge_set(cycle):
+    return frozenset(frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def test_chordless_cycles_match_networkx():
+    for g in random_graphs("chordless/oracle", 150, (1, 9), (0.2, 0.8)):
+        ours = chordless_cycles(g)
+        assert ours == sorted(ours, key=lambda c: (len(c), c))
+        assert all(c[0] == min(c) for c in ours)
+        ref = {edge_set(c) for c in nx.chordless_cycles(to_networkx(g)) if len(c) >= 3}
+        assert {edge_set(c) for c in ours} == ref, g
 
 
 def test_max_induced_cycle():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -140,6 +141,17 @@ def test_boundary_simplex_classifier_table():
     assert boundary_simplex_classifier(4, (2, 2, 5, 9)) is True
     with pytest.raises(ValueError):
         boundary_simplex_classifier(2, (2, 2))
+
+
+@pytest.mark.parametrize("size", [2.5, Fraction(5, 2), 3.0])
+def test_table_sizes_must_be_integers(size):
+    # int() used to truncate a size of 2.5 to 2
+    with pytest.raises(TypeError):
+        marginal_matrix(PATH3, (2, size, 2))
+    with pytest.raises(TypeError):
+        boundary_simplex_classifier(3, (2, size, 2))
+    with pytest.raises(TypeError):
+        margins_compressed(PATH3, (2, size, 2))
 
 
 def test_tilde_graph():
