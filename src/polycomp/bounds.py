@@ -29,7 +29,9 @@ from .compressed import is_compressed
 from .linalg import affine_lattice_of, primitive, solve_fraction_free
 from .polytope import LatticePolytope, PointConfiguration
 from .simplex import LPResult, feasible_start, optimize
-from .triangulate import DEFAULT_ORDERING_CAP, each_pulling_unimodular
+from .triangulate import each_pulling_unimodular
+
+DEFAULT_ORDERING_CAP = 9
 
 
 def matrix_columns(a):

@@ -30,6 +30,7 @@ from .cutpoly import cut_compressed, has_minor, max_induced_cycle
 from .jsonio import (
     InputError,
     certificate_to_json,
+    dumps_indented,
     facet_to_json,
     format_rational,
     graph_from_json,
@@ -44,7 +45,7 @@ from .triangulate import pulling_triangulation, triangulation_volumes
 
 
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(dumps_indented(payload) + "\n")
 
 
 def _load(path, reader):

@@ -216,27 +216,49 @@ class PointConfiguration:
     def _split(self, key):
         projected, facets = self._incidences()
         mask = sum(1 << i for i in key)
-        closure = (1 << len(self.points)) - 1
-        normals = {}  # proper nonempty F ∩ T(G) -> the first G seen
-        for tight, g in facets:
-            common = mask & tight
-            if common == mask:
-                closure &= tight
-            elif common:
-                normals.setdefault(common, g)
-        if closure != mask:
+        closure, normals = face_intersections(mask, facets)
+        if closure & ((1 << len(self.points)) - 1) != mask:
             raise ValueError("the key is not the point set of a face")
         ordered = sorted(key)
         base = projected[ordered[0]]
         reduced, _, _ = rref([vsub(projected[i], base) for i in ordered[1:]])
         if len(reduced) == len(ordered) - 1:
             return None
-        kept = []
-        for common in sorted(normals, key=int.bit_count, reverse=True):
-            if all(common & k != common for k in kept):
-                kept.append(common)
+        kept = inclusion_maximal(normals)
         kept.sort(key=lambda m: primitive([dot(normals[m], row) for row in reduced]))
         return tuple(frozenset(i for i in ordered if m >> i & 1) for m in kept)
+
+
+def face_intersections(mask, facets):
+    """Intersections of a face with the facets of the whole configuration.
+
+    ``mask`` is the bitmask of the face's points and ``facets`` holds
+    (tight-point bitmask, label) pairs for the facets of the whole hull.
+    Returns the intersection of the tight sets that contain the face (-1,
+    every bit, when none does), which is the face's own mask exactly when
+    it is the point set of a face, and a dict from each proper nonempty
+    intersection of the face with a tight set to the label of the first
+    facet that cuts it out.  The facets of the face are the
+    ``inclusion_maximal`` keys (Kaibel & Pfetsch 2002).
+    """
+    closure = -1
+    labels = {}
+    for tight, label in facets:
+        common = mask & tight
+        if common == mask:
+            closure &= tight
+        elif common:
+            labels.setdefault(common, label)
+    return closure, labels
+
+
+def inclusion_maximal(masks):
+    """The bitmasks among ``masks`` that no other one contains, largest first."""
+    kept = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if all(m & k != m for k in kept):
+            kept.append(m)
+    return kept
 
 
 class LatticePolytope:

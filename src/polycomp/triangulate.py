@@ -1,4 +1,4 @@
-"""Pulling triangulations, normalized volumes, and the ordering searches.
+"""Pulling triangulations, normalized volumes, and the unimodularity checks.
 
 A pulling triangulation of an ordered point list is built recursively: if the
 points are affinely independent they form one simplex; otherwise the first
@@ -11,25 +11,26 @@ in those coordinates.  Every triangulation of one point set has the same
 normalized volume V, and every cell adds at least 1 to it, so a pulling
 triangulation is unimodular exactly when it has V cells:
 ``each_pulling_unimodular`` takes determinants for the first ordering only
-and decides every later one by counting cells.  ``all_pulling_unimodular``
-runs it over every ordering below a configurable cap; above the cap a
-vertex-transitive symmetry group lets a single ordering decide for all of
-them, and without one it refuses.
+and decides every later one by counting cells.
+
+``all_pulling_unimodular`` asks whether every ordering gives a unimodular
+triangulation by a recursion over faces, not over orderings (De Loera,
+Rambau & Santos, "Triangulations", 2010): a cone cell's volume is the
+lattice height of its apex over the facet below it times the base cell's
+volume, so every pulling triangulation of a face is unimodular exactly when
+every point of the face lies at height 0 or 1 over each of its facets and
+every facet passes in turn.  Heights are measured in each face's saturated
+lattice Z^d ∩ aff(F), in point-lattice coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from math import gcd
 
-from .linalg import AffineLattice, determinant, dot, rref, saturate_rows, solve_fraction_free, vsub
-from .polytope import PointConfiguration, _facets_dd
-
-DEFAULT_ORDERING_CAP = 9
-
-
-class OrderingCapExceeded(RuntimeError):
-    """Full ordering enumeration was requested beyond the configured cap."""
+from .linalg import (AffineLattice, determinant, dot, identity_matrix, integer_kernel, rref,
+                     saturate_rows, solve_fraction_free, vsub)
+from .polytope import PointConfiguration, _facets_dd, face_intersections, inclusion_maximal
 
 
 @dataclass(frozen=True)
@@ -300,10 +301,16 @@ def lattice_point_orbits(polytope):
 def transitive_symmetry_shortcut(polytope):
     """Decide compressedness in one triangulation when symmetry allows it.
 
-    If the affine symmetry group is transitive on the lattice points, either
-    every pulling triangulation is unimodular or none is, so a single run
-    settles the question.  Returns "compressed", "not-compressed", or
-    "inapplicable" when no transitive group was found.
+    Returns "compressed", "not-compressed", or "inapplicable" when no group
+    transitive on the lattice points was found.  Under a transitive group,
+    if one point lies at lattice height 2 or more over some facet, every
+    point lies that high over some facet, and pulling it first gives a cell
+    of volume 2 or more, so no pulling triangulation is unimodular.
+    Otherwise every facet has width one, and concluding that every pulling
+    triangulation is unimodular uses the facet-width characterization of
+    compressed polytopes.  The shortcut is therefore not an independent
+    oracle for that theorem; ``all_pulling_unimodular`` is.  It stays as the
+    one-triangulation answer that ``repro`` uses.
     """
     orbits = lattice_point_orbits(polytope)
     if len(orbits) != 1:
@@ -313,29 +320,67 @@ def transitive_symmetry_shortcut(polytope):
     return "compressed" if ok else "not-compressed"
 
 
-def all_pulling_unimodular(polytope, cap=DEFAULT_ORDERING_CAP):
+def all_pulling_unimodular(polytope):
     """Whether every pulling triangulation of the lattice points is unimodular.
 
-    Below the cap all orderings are enumerated, reduced by symmetry: only one
-    first point per orbit needs trying, with all orderings of the rest.
-    Above the cap a transitive symmetry group decides with one triangulation;
-    otherwise OrderingCapExceeded is raised.  The orderings go through
-    ``each_pulling_unimodular``: the first one's cell volumes sum to the
-    normalized volume V, and a later ordering is unimodular exactly when its
-    triangulation has V cells.
+    Decided by a recursion over the faces of the polytope, never over
+    orderings, so the answer is exact for any number of points.  A face F
+    passes when every point of F lies at lattice height 0 or 1 over each
+    facet G of F, and every G passes in turn; a point passes.
+
+    Why it is exact: when v comes first in an ordering, the pulling
+    triangulation of F cones v over the pulling triangulations of the
+    facets G of F that avoid v, each under the induced ordering.  A cone
+    cell has normalized volume (height of v over G in F's lattice) x
+    (volume of its base cell in G's lattice), the identity that
+    ``total_normalized_volume`` sums.  Every ordering of G is induced by an
+    ordering of F that starts at a point off G, and every point off G comes
+    first in some ordering, so every pulling triangulation of F is
+    unimodular exactly when all those heights are 1 and every pulling
+    triangulation of every G is unimodular.  For a simplex face this says
+    that its normalized volume is 1.
+
+    Heights and volumes are measured in the saturated lattice Z^d ∩ aff(F)
+    of the point-lattice coordinates (``_volume_coords``), never by the gcd
+    over F's own points, under which an empty simplex face of volume 2
+    would pass its own check.  One double description gives the facets H
+    of the whole polytope with their slacks, and a facet G of F is F ∩ T(H)
+    for some H (Kaibel & Pfetsch 2002).  Each face carries a basis of its
+    lattice, tracked from the top down: on F's basis, H's normal takes
+    values w whose gcd c generates its values on F's lattice, so the points
+    of F must have slack 0 or c, and G's basis is the integer kernel of w
+    times F's basis.  Each face is visited at most once per call (memoized
+    by its point set), and the first failing height ends the search.
     """
-    k = len(polytope.lattice_points())
-    if k > cap:
-        verdict = transitive_symmetry_shortcut(polytope)
-        if verdict == "inapplicable":
-            raise OrderingCapExceeded(
-                f"{k} lattice points exceed the ordering cap {cap} and no "
-                "transitive symmetry was found"
-            )
-        return verdict == "compressed"
-    orders = (
-        (first,) + tail
-        for first in (orbit[0] for orbit in lattice_point_orbits(polytope))
-        for tail in permutations([i for i in range(k) if i != first])
-    )
-    return all(each_pulling_unimodular(polytope.configuration(), _volume_coords(polytope), orders))
+    coords = _volume_coords(polytope)
+    dim = len(coords[0])
+    incidences = [(sum(1 << i for i in tight), (g, slacks))
+                  for g, _, tight, slacks in _facets_dd(coords, dim)]
+    verdicts = {}  # face point bitmask -> passes; lives for this call only
+
+    def passes(mask, basis):
+        points = [i for i in range(len(coords)) if mask >> i & 1]
+        _, labels = face_intersections(mask, incidences)
+        split = [(sub, labels[sub]) for sub in inclusion_maximal(labels)]
+        for _, (g, slacks) in split:
+            positive = {slacks[i] for i in points}
+            positive.discard(0)
+            if len(positive) != 1:
+                return False
+            # the gcd c of g on F's basis divides every slack on F, so a
+            # slack of 1 is c without computing it
+            (s,) = positive
+            if s != 1 and s != gcd(*(dot(g, row) for row in basis)):
+                return False
+        for sub, (g, _) in split:
+            verdict = verdicts.get(sub)
+            if verdict is None:
+                kernel = integer_kernel([[dot(g, row) for row in basis]])
+                columns = list(zip(*basis))
+                sub_basis = [[dot(y, col) for col in columns] for y in kernel]
+                verdict = verdicts[sub] = passes(sub, sub_basis)
+            if not verdict:
+                return False
+        return True
+
+    return passes((1 << len(coords)) - 1, identity_matrix(dim))

@@ -7,6 +7,7 @@ from math import gcd
 from polycomp.cutpoly import _MINOR_ORDER
 from polycomp.linalg import determinant, dot, primitive, rref, vsub
 from polycomp.polytope import LatticePolytope
+from polycomp.triangulate import _volume_coords, each_pulling_unimodular, lattice_point_orbits
 
 
 def birkhoff(n):
@@ -172,3 +173,21 @@ def has_minor_exhaustive(graph, minor):
         return place(v + 1, opened)
 
     return place(1, 0)
+
+
+def all_pulling_unimodular_exhaustive(polytope):
+    """Whether every pulling triangulation of the lattice points is unimodular.
+
+    All orderings are enumerated, reduced by symmetry: only one first point
+    per orbit needs trying, with all orderings of the rest.  The orderings
+    go through ``each_pulling_unimodular``: the first one's cell volumes sum
+    to the normalized volume V, and a later ordering is unimodular exactly
+    when its triangulation has V cells.
+    """
+    k = len(polytope.lattice_points())
+    orders = (
+        (first,) + tail
+        for first in (orbit[0] for orbit in lattice_point_orbits(polytope))
+        for tail in permutations([i for i in range(k) if i != first])
+    )
+    return all(each_pulling_unimodular(polytope.configuration(), _volume_coords(polytope), orders))

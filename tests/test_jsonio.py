@@ -1,9 +1,14 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomp.jsonio import (
     InputError,
+    dumps_indented,
     facet_to_json,
     format_integer,
     format_rational,
@@ -90,3 +95,39 @@ def test_facet_to_json_uses_decimal_strings():
         "normal": [1],
         "offset": "0",
     }
+
+
+# more than 4300 digits: str() refuses them unless the limit is lifted
+_HUGE = st.tuples(st.sampled_from([4301, 4400]), st.sampled_from([1, -1])).map(
+    lambda t: t[1] * (10 ** t[0] - 1)
+)
+_INTS = st.integers() | _HUGE
+_SCALARS = (
+    _INTS
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False)
+    | st.text()
+    | st.sampled_from(["", "\"", "\\", "\n\t\u0001", "é€𝄞", "\u2028"])
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(_INTS)
+        | st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_DOCUMENTS)
+def test_dumps_indented_matches_json_dumps(doc):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert dumps_indented(doc) == json.dumps(doc, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -3,14 +3,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polycomp.triangulate as triangulate
+from polycomp.compressed import is_compressed
+from polycomp.cutpoly import complete_graph, cut_polytope
 from polycomp.linalg import AffineLattice, affine_lattice_of, standard_lattice, vsub
 from polycomp.polytope import LatticePolytope, PointConfiguration
 from polycomp.triangulate import (
-    OrderingCapExceeded,
     all_pulling_unimodular,
     each_pulling_unimodular,
     is_unimodular,
@@ -23,7 +24,12 @@ from polycomp.triangulate import (
     triangulation_volumes,
 )
 
-from conftest import birkhoff, fraction_solve, per_cell_unimodular
+from conftest import (
+    all_pulling_unimodular_exhaustive,
+    birkhoff,
+    fraction_solve,
+    per_cell_unimodular,
+)
 
 SEGMENT = LatticePolytope([(0,), (1,), (2,)])  # lattice Z, points 0,1,2
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -234,11 +240,56 @@ def test_orbits_partition_points():
     assert len(orbits) > 1
 
 
-def test_cap_exceeded_without_symmetry():
-    # 10 lattice points, no transitive symmetry, cap forced low
+def test_all_pulling_single_point_true():
+    assert all_pulling_unimodular(LatticePolytope([(3, 4)])) is True
+
+
+def test_all_pulling_ten_point_triangle_false():
+    # 10 lattice points and no transitive symmetry; the certifier agrees
     poly = LatticePolytope([(0, 0), (3, 0), (0, 3)], lattice=standard_lattice(2))
-    with pytest.raises(OrderingCapExceeded):
-        all_pulling_unimodular(poly, cap=4)
+    assert all_pulling_unimodular(poly) is False
+    assert is_compressed(poly).verdict is False
+
+
+def test_all_pulling_cut_k6_false():
+    assert all_pulling_unimodular(cut_polytope(complete_graph(6))) is False
+
+
+def test_all_pulling_birkhoff_b4_true():
+    assert all_pulling_unimodular(birkhoff(4)) is True
+
+
+def test_all_pulling_reeve_facet_false():
+    # the Reeve tetrahedron is a facet: its own points span a sublattice of
+    # index 2 in Z^3, while the points of the whole polytope span Z^4, so
+    # pulling either apex first cones it over cells of volume 2
+    reeve = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0)]
+    poly = LatticePolytope(reeve + [(0, 0, 0, 1), (0, 0, 1, 1)])
+    assert all_pulling_unimodular(poly) is False
+    assert all_pulling_unimodular_exhaustive(poly) is False
+
+
+@st.composite
+def _small_polytopes(draw):
+    """Polytopes in dims 1-4 with at most 8 lattice points, declared or auto lattice."""
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 2 if dim <= 2 else 1)] * dim)
+    pts = draw(st.lists(point, min_size=dim + 1, max_size=dim + 4, unique=True))
+    if dim >= 3 and draw(st.booleans()):
+        pts.append(tuple(draw(st.integers(-1, 2)) for _ in range(dim)))
+    lattice = standard_lattice(dim) if draw(st.booleans()) else None
+    poly = LatticePolytope(pts, lattice=lattice)
+    assume(len(poly.lattice_points()) <= 8)
+    return pts, lattice
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_small_polytopes())
+def test_all_pulling_matches_exhaustive_oracle(case):
+    pts, lattice = case
+    # separate instances, so neither side reads the other's cached faces
+    expected = all_pulling_unimodular_exhaustive(LatticePolytope(pts, lattice=lattice))
+    assert all_pulling_unimodular(LatticePolytope(pts, lattice=lattice)) == expected
 
 
 def test_all_pulling_matches_exhaustive_on_small_cases():
@@ -301,8 +352,11 @@ def test_search_takes_determinants_for_its_first_ordering_only(monkeypatch):
     det = triangulate.determinant
     monkeypatch.setattr(triangulate, "determinant", lambda m: calls.append(m) or det(m))
 
-    # every ordering of the square is visited: one orbit, 3! tails
-    assert all_pulling_unimodular(SQUARE) is True
+    # all 24 orderings of the square are unimodular, from one determinant per cell
+    lattice = SQUARE.point_lattice()
+    coords = [lattice.coords(p) for p in SQUARE.lattice_points()]
+    orders = list(permutations(range(len(coords))))
+    assert all(each_pulling_unimodular(SQUARE.configuration(), coords, orders))
     assert len(calls) == len(pulling_triangulation(SQUARE, (0, 1, 2, 3)))
 
     triangle = LatticePolytope([(0, 0), (2, 0), (0, 2)], lattice=standard_lattice(2))
