@@ -369,9 +369,11 @@ def _branch_set_search(adj, k):
     Every vertex goes to one of k branch sets or to none; sets open in
     vertex order, which kills the labeling symmetry.  The depth-first
     search keeps its choices on an explicit stack and visits at most
-    ``MINOR_SEARCH_BUDGET`` nodes.
+    ``MINOR_SEARCH_BUDGET`` nodes.  The vertex order is ``_refined_order``,
+    so where the first model lies, and with it the search's cost, depends
+    on the graph and not on how its vertices are numbered.
     """
-    verts = sorted(adj)
+    verts = _refined_order(adj)
     n = len(verts)
     group = [0] * n
     opened = [0] * (n + 1)
@@ -402,6 +404,27 @@ def _branch_set_search(adj, k):
         opened[i + 1] = max(opened[i], group[i] + 1)
         i += 1
     return False
+
+
+def _refined_order(adj):
+    """The vertices sorted by colour refinement from their degrees, lowest
+    first, ties between vertices of one colour class by label.
+
+    A colour is refined by the sorted colours of the neighbours until the
+    number of classes stops growing; the classes and their order do not
+    depend on the labels.  The search varies its last vertices fastest, so
+    with low degrees first the high-degree vertices, the likely branch-set
+    centres, are the ones it tries in every role soonest.
+    """
+    colour = {v: len(nbrs) for v, nbrs in adj.items()}
+    classes = len(set(colour.values()))
+    while True:
+        signature = {v: (colour[v], tuple(sorted(colour[w] for w in adj[v]))) for v in adj}
+        rank = {s: r for r, s in enumerate(sorted(set(signature.values())))}
+        colour = {v: rank[signature[v]] for v in adj}
+        if len(rank) == classes:
+            return sorted(adj, key=lambda v: (colour[v], v))
+        classes = len(rank)
 
 
 def _is_model(adj, verts, group, k):

@@ -184,6 +184,36 @@ def test_minor_search_refuses_at_its_budget(monkeypatch):
     assert not has_minor(from_networkx(nx.wheel_graph(9)), "K5")
 
 
+def test_minor_search_cost_does_not_depend_on_labels(monkeypatch):
+    # a 10-vertex graph whose reduced core (9 vertices, nonplanar, below
+    # Mader's bound) colour refinement splits into singletons, so every
+    # numbering gives the search the same vertex order and the same leaves
+    edges = [(1, 4), (1, 5), (1, 8), (2, 4), (2, 7), (2, 9), (3, 4), (3, 5), (3, 8), (3, 9),
+             (4, 5), (4, 6), (4, 7), (4, 8), (5, 6), (5, 8), (6, 9), (7, 8), (7, 9), (7, 10),
+             (8, 10)]
+    leaves = []
+    is_model = cutpoly._is_model
+
+    def counted(*args):
+        leaves[-1] += 1
+        return is_model(*args)
+
+    monkeypatch.setattr(cutpoly, "_is_model", counted)
+    core = Graph(10, edges).adjacency()
+    cutpoly._reduce(core, suppress=True)
+    order = cutpoly._refined_order(core)
+    rng = random.Random("minor/relabel")
+    for _ in range(20):
+        name = [0, *rng.sample(range(1, 11), 10)]
+        g = Graph(10, [(name[a], name[b]) for a, b in edges])
+        relabelled = g.adjacency()
+        cutpoly._reduce(relabelled, suppress=True)
+        assert cutpoly._refined_order(relabelled) == [name[v] for v in order]
+        leaves.append(0)
+        assert has_minor(g, "K5")
+    assert len(set(leaves)) == 1 and leaves[0] > 0
+
+
 def edge_set(cycle):
     return frozenset(frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1]))
 
