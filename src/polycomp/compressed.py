@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .linalg import dot, rref
 from .polytope import LatticePolytope
@@ -55,43 +57,63 @@ class CompressedCertificate:
     violation: Violation | None
 
 
-def _profile(polytope, facet):
-    witnesses = {}
+def _columns(polytope):
+    """The hull-lattice coordinates of the lattice points, one tuple per
+    axis; None when every lattice point is a generator, because then each
+    facet carries its slacks from enumeration."""
+    if polytope.lattice_points() == polytope.generators:
+        return None
+    return tuple(zip(*polytope.lattice_point_hull_coords()))
+
+
+def _profile(polytope, facet, columns):
+    """The positive levels of the lattice points over one of the polytope's
+    own facets, with the lex-first point at each level.
+
+    The slacks are ``g . z - h`` over the hull coordinates z, summed a
+    column at a time over the nonzero entries of g, or the facet's
+    ``generator_slacks`` when ``columns`` is None.
+    """
     pts = polytope.lattice_points()
-    if facet.generator_slacks is not None and pts == polytope.generators:
-        # every lattice point is a generator: reuse enumeration-time slacks
-        for p, s in zip(pts, facet.generator_slacks):
-            if s > 0 and s not in witnesses:
-                witnesses[s] = p
+    if columns is None:
+        slacks = facet.generator_slacks
     else:
-        for p, z in zip(pts, polytope.lattice_point_hull_coords()):
-            s = facet.lattice_slack(z)
-            if s > 0 and s not in witnesses:
-                witnesses[s] = p
-    levels = tuple(sorted(witnesses))
+        n = len(pts)
+        slacks = repeat(-facet.lattice_offset, n)
+        for g, column in zip(facet.lattice_normal, columns):
+            if g:
+                slacks = map(add, slacks, map(mul, repeat(g, n), column))
+        slacks = list(slacks)
+    # reversed, so the lex-first point at each slack is the one kept
+    first = dict(zip(reversed(slacks), reversed(pts)))
+    levels = tuple(sorted(s for s in first if s > 0))
     return FacetLevelProfile(
-        facet=facet, levels=levels, witnesses=tuple(witnesses[m] for m in levels)
+        facet=facet, levels=levels, witnesses=tuple(first[s] for s in levels)
     )
 
 
 def facet_levels(polytope, facet):
     """Profile of one facet: the distinct positive slack levels over the
     lattice points, measured with the lattice-primitive normal."""
-    if facet not in polytope.facets():
+    facets = polytope.facets()
+    if facet not in facets:
         raise ValueError("facet does not belong to the polytope")
-    return _profile(polytope, facet)
+    return _profile(polytope, facets[facets.index(facet)], _columns(polytope))
 
 
 def is_compressed(polytope):
     """Certificate that every facet sees at most one positive lattice level.
 
-    On failure the violation reports the lexicographically first offending
-    facet with witnesses for its extreme levels.
+    The lattice points are compared with the generators, and their hull
+    coordinates turned into columns, once for all facets.  On failure the violation reports
+    the lexicographically first offending facet with witnesses for its
+    extreme levels.
     """
+    columns = _columns(polytope)
     profiles = []
     violation = None
     for facet in polytope.facets():
-        profile = _profile(polytope, facet)
+        profile = _profile(polytope, facet, columns)
         profiles.append(profile)
         if violation is None and len(profile.levels) >= 2:
             violation = Violation(
@@ -137,10 +159,11 @@ def cube_embedding(polytope):
     levels = []
     for profile in cert.profiles:
         facet = profile.facet
-        ambient_level = max(facet.evaluate(p) for p in polytope.lattice_points())
+        # the lift scales: evaluate(p) == s * lattice_slack(z) with s > 0, so
+        # the largest ambient slack is attained at the highest level's witness
         normals.append(facet.normal)
         offsets.append(facet.offset)
-        levels.append(ambient_level)
+        levels.append(facet.evaluate(profile.witnesses[-1]))
     emb = CubeEmbedding(tuple(normals), tuple(offsets), tuple(levels))
     images = [emb.apply(p) for p in polytope.lattice_points()]
     if len(set(images)) != len(images):

@@ -388,12 +388,18 @@ class LatticePolytope:
     def lattice_points(self):
         """All declared-lattice points inside the polytope, in lex order.
 
-        Bounding-box scan over the ambient coordinates with interval
-        propagation through the hull equations and facet inequalities, then a
-        lattice-membership filter at the leaves.
+        Depth-first over the ambient coordinates in ``_scan_order``.  Each
+        node bounds its coordinate by the interval that the hull equations
+        and the first ``PROPAGATED_FACET_LIMIT`` facets leave it, given the
+        coordinates fixed above and the generators' bounding box below, and
+        loops over that interval only.  A point that comes out is checked
+        against the remaining facets and the hull lattice, whose coordinates
+        it keeps for ``lattice_point_hull_coords``.
         """
         if self._lattice_points is None:
-            self._lattice_points = tuple(self._scan_lattice_points())
+            found = sorted(self._scan_lattice_points())
+            self._lattice_points = tuple(p for p, _ in found)
+            self._lattice_point_coords = tuple(z for _, z in found)
         return self._lattice_points
 
     @staticmethod
@@ -425,8 +431,9 @@ class LatticePolytope:
         return placed
 
     def _scan_lattice_points(self):
+        """(point, hull-lattice coordinates) of every lattice point, unsorted."""
         if self.dim == 0:
-            return [self.generators[0]]
+            return [(self.generators[0], ())]
         amb = self.ambient_dim
         lows = [min(p[j] for p in self.generators) for j in range(amb)]
         highs = [max(p[j] for p in self.generators) for j in range(amb)]
@@ -442,74 +449,86 @@ class LatticePolytope:
                 if b != 0 and (is_eq or 0 < b):
                     return []
         order = self._scan_order(amb, self.hull_equations())
-        # suffix extremes of each constraint over the still-unassigned box; a
-        # constraint is fully decided at its last touched position, so each
-        # node only re-tests the constraints its coordinate appears in
-        suffix = []
-        for a, _, _ in cons:
-            lo = [0] * (amb + 1)
-            hi = [0] * (amb + 1)
-            for pos in range(amb - 1, -1, -1):
-                j = order[pos]
-                t1 = a[j] * lows[j]
-                t2 = a[j] * highs[j]
-                lo[pos] = lo[pos + 1] + min(t1, t2)
-                hi[pos] = hi[pos + 1] + max(t1, t2)
-            suffix.append((lo, hi))
-        touched = [
-            [
-                (idx, cons[idx][0][order[pos]], cons[idx][1], cons[idx][2],
-                 suffix[idx][0][pos + 1], suffix[idx][1][pos + 1])
-                for idx in range(len(cons))
-                if cons[idx][0][order[pos]]
-            ]
-            for pos in range(amb)
-        ]
+        # Node ``pos`` fixes coordinate j = order[pos] to v.  For a
+        # constraint a.x >= b (or == b), let s be its sum over the
+        # coordinates fixed above and [lo, hi] the range of its sum over the
+        # box of the ones below.  Then a_j * v >= b - s - hi, and for an
+        # equation also a_j * v <= b - s - lo.  Each bound is a term
+        # t = (s + k) // d: v <= t for an upper term, v >= -t for a lower one
+        # (a negative d turns the floor into a ceiling).  An equation with
+        # lo == hi pins v to one value or none, so its terms are tested
+        # first; at the last position every constraint is decided.
+        rest = [(0, 0)] * len(cons)
+        nodes = []
+        for pos in range(amb - 1, -1, -1):
+            j = order[pos]
+            decided, terms, updates = [], [], []
+            for idx, (a, b, is_eq) in enumerate(cons):
+                c = a[j]
+                if not c:
+                    continue
+                lo, hi = rest[idx]
+                rest[idx] = (lo + min(c * lows[j], c * highs[j]),
+                             hi + max(c * lows[j], c * highs[j]))
+                own = [(idx, hi - b, abs(c), c < 0)]
+                if is_eq:
+                    own.append((idx, lo - b, -abs(c), c > 0))
+                (decided if is_eq and lo == hi else terms).extend(own)
+                updates.append((idx, c))
+            nodes.append((j, decided + terms, updates))
+        nodes.reverse()
         out = []
         point = [0] * amb
         sums = [0] * len(cons)
         generator_set = set(self.generators)
+        anchor = self.hull_lattice.anchor
+        solve = self.hull_lattice.difference_coords
+        last = amb - 1
 
         def rec(pos):
-            if pos == amb:
-                p = tuple(point)
-                if p in generator_set or (
-                    all(f.evaluate(p) >= 0 for f in leaf_facets)
-                    and self.hull_lattice.contains(p)
-                ):
-                    out.append(p)
+            j, terms, updates = nodes[pos]
+            vlo, vhi = lows[j], highs[j]
+            for idx, k, d, upper in terms:
+                t = (sums[idx] + k) // d
+                if upper:
+                    if t < vhi:
+                        vhi = t
+                elif -t > vlo:
+                    vlo = -t
+                if vlo > vhi:
+                    return
+            if pos == last:
+                for v in range(vlo, vhi + 1):
+                    point[j] = v
+                    p = tuple(point)
+                    if p not in generator_set and not all(
+                            f.evaluate(p) >= 0 for f in leaf_facets):
+                        continue
+                    z = solve(vsub(p, anchor))
+                    if z is not None:
+                        out.append((p, z))
                 return
-            j = order[pos]
-            col = touched[pos]
-            for v in range(lows[j], highs[j] + 1):
+            if vlo:
+                for idx, c in updates:
+                    sums[idx] += c * vlo
+            point[j] = vlo
+            rec(pos + 1)
+            for v in range(vlo + 1, vhi + 1):
+                for idx, c in updates:
+                    sums[idx] += c
                 point[j] = v
-                ok = True
-                for idx, coef, b, is_eq, lo, hi in col:
-                    s = sums[idx] + coef * v
-                    sums[idx] = s
-                    if s + hi < b or (is_eq and s + lo > b):
-                        ok = False
-                        break
-                if ok:
-                    rec(pos + 1)
-                    for idx, coef, _, _, _, _ in col:
-                        sums[idx] -= coef * v
-                else:
-                    for idx2, coef, _, _, _, _ in col:
-                        sums[idx2] -= coef * v
-                        if idx2 == idx:
-                            break
-            point[j] = lows[j]
+                rec(pos + 1)
+            if vhi:
+                for idx, c in updates:
+                    sums[idx] -= c * vhi
 
         rec(0)
-        return sorted(out)
+        return out
 
     def lattice_point_hull_coords(self):
-        """Hull-lattice coordinates of every lattice point (cached)."""
-        if self._lattice_point_coords is None:
-            self._lattice_point_coords = tuple(
-                self.hull_lattice.coords(p) for p in self.lattice_points()
-            )
+        """Hull-lattice coordinates of every lattice point, in the order of
+        ``lattice_points``; the scan finds them with the points."""
+        self.lattice_points()
         return self._lattice_point_coords
 
     def point_lattice(self):

@@ -1,11 +1,13 @@
 """Constructors and references shared by several test modules."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
+from hypothesis import strategies as st
+
 from polycomp.cutpoly import _MINOR_ORDER
-from polycomp.linalg import determinant, dot, primitive, rref, vsub
+from polycomp.linalg import AffineLattice, determinant, dot, primitive, rref, standard_lattice, vsub
 from polycomp.polytope import LatticePolytope
 from polycomp.triangulate import _volume_coords, each_pulling_unimodular, lattice_point_orbits
 
@@ -191,3 +193,56 @@ def all_pulling_unimodular_exhaustive(polytope):
         for tail in permutations([i for i in range(k) if i != first])
     )
     return all(each_pulling_unimodular(polytope.configuration(), _volume_coords(polytope), orders))
+
+
+def lattice_points_by_box(polytope):
+    """Every point of the generators' bounding box that satisfies the hull
+    equations and every facet and lies in the hull lattice, in lex order:
+    the reference the lattice-point scan must match."""
+    gens = polytope.generators
+    box = product(*[range(min(c), max(c) + 1) for c in zip(*gens)])
+    equations = polytope.hull_equations()
+    facets = polytope.facets()
+    return tuple(
+        p for p in box
+        if all(dot(a, p) == b for a, b in equations)
+        and all(f.evaluate(p) >= 0 for f in facets)
+        and polytope.hull_lattice.contains(p)
+    )
+
+
+@st.composite
+def small_polytopes(draw):
+    """A lattice polytope of dimension at most 4 with coordinates in -3..3.
+
+    The lattice is the generators' own ("auto"), the whole ambient lattice,
+    or the index-2 lattice of points whose coordinate sum has the parity of
+    the first point's.  Some draws append up to two coordinates that are
+    affine functions of the others, so the polytope is embedded in a higher
+    ambient space and has hull equations; a declared lattice goes along
+    with the embedding.  The ambient dimension stays at most 4, so the
+    generators' bounding box stays small enough for
+    ``lattice_points_by_box``.
+    """
+    dim = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
+                        min_size=2, max_size=dim + 4, unique=True))
+    kind = draw(st.sampled_from(["auto", "ambient", "index-2"]))
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    if kind == "index-2":
+        pts = [p for p in pts if (sum(p) - sum(pts[0])) % 2 == 0]
+        basis = [(2,) + (0,) * (dim - 1)] + [(1,) + row[1:] for row in basis[1:]]
+    forms = draw(st.lists(st.tuples(st.integers(-2, 2), *[st.integers(-1, 1)] * dim),
+                          max_size=max(0, 4 - dim - 1) + (dim < 4)))
+
+    def embed(p, shift=True):
+        return tuple(p) + tuple(c * shift + dot(row, p) for c, *row in forms)
+
+    pts = [embed(p) for p in pts]
+    if kind == "auto":
+        lattice = None
+    elif kind == "ambient":
+        lattice = standard_lattice(len(pts[0]))
+    else:
+        lattice = AffineLattice(pts[0], tuple(embed(row, shift=False) for row in basis))
+    return LatticePolytope(pts, lattice=lattice)

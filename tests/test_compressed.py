@@ -1,6 +1,7 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
 from polycomp.compressed import (
     FacetLevelProfile,
@@ -10,11 +11,11 @@ from polycomp.compressed import (
     verify_cube_section,
     zero_one_points_of_affine_hull,
 )
-from polycomp.linalg import standard_lattice
+from polycomp.linalg import dot, standard_lattice
 from polycomp.polytope import LatticePolytope
 from polycomp.triangulate import all_pulling_unimodular
 
-from conftest import birkhoff
+from conftest import birkhoff, small_polytopes
 
 
 def cut_polytope_raw(n, edges):
@@ -112,6 +113,30 @@ def test_equivalence_with_pulling_oracle_on_small_corpus():
     ]
     for poly in corpus:
         assert is_compressed(poly).verdict == all_pulling_unimodular(poly), poly
+
+
+def assert_profiles_match_recount(poly):
+    cert = is_compressed(poly)
+    assert [p.facet for p in cert.profiles] == list(poly.facets())
+    pts = poly.lattice_points()
+    coords = poly.lattice_point_hull_coords()
+    for profile in cert.profiles:
+        facet = profile.facet
+        slacks = [dot(facet.lattice_normal, z) - facet.lattice_offset for z in coords]
+        levels = sorted({s for s in slacks if s > 0})
+        assert list(profile.levels) == levels
+        assert list(profile.witnesses) == [pts[slacks.index(m)] for m in levels]
+        assert facet_levels(poly, facet) == profile
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_polytopes())
+def test_profiles_match_a_recount_by_dot_products(poly):
+    # the scan path, and the generator-slack path on the same points
+    assert_profiles_match_recount(poly)
+    again = LatticePolytope(poly.lattice_points(), lattice=poly.lattice)
+    assert again.lattice_points() == again.generators
+    assert_profiles_match_recount(again)
 
 
 def test_compressed_implies_every_lattice_point_is_vertex():

@@ -31,7 +31,7 @@ from polycomp.polytope import (
 )
 from polycomp.triangulate import pulling_triangulation_of
 
-from conftest import _facets_bruteforce
+from conftest import _facets_bruteforce, lattice_points_by_box, small_polytopes
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 CUT_K3 = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -323,6 +323,37 @@ def test_lattice_points_supersets_generators_and_satisfy_facets():
         for p in lattice_pts:
             assert all(f.evaluate(p) >= 0 for f in poly.facets())
             assert poly.hull_lattice.contains(p)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(small_polytopes())
+def test_lattice_points_match_bounding_box_oracle(poly):
+    # completeness as well as soundness, in lex order; the scan decides every
+    # equation and facet before it asks the lattice, and the hull
+    # coordinates it keeps are the lattice's own
+    poly.facets()
+    asked = []
+    solve = AffineLattice.difference_coords
+
+    def recording(lattice, vec):
+        if lattice is poly.hull_lattice:
+            asked.append(tuple(x + y for x, y in zip(vec, lattice.anchor)))
+        return solve(lattice, vec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AffineLattice, "difference_coords", recording)
+        points = poly.lattice_points()
+    assert points == lattice_points_by_box(poly)
+    assert all(poly.contains(p) for p in asked)
+    assert poly.lattice_point_hull_coords() == tuple(poly.hull_lattice.coords(p) for p in points)
+
+
+def test_lattice_points_match_oracle_past_the_propagated_facets():
+    # Cut(K6) has 368 facets, so most of them are checked only at the leaves
+    poly = cut_polytope(complete_graph(6))
+    assert len(poly.facets()) > polytope.PROPAGATED_FACET_LIMIT
+    assert poly.lattice_points() == lattice_points_by_box(poly)
+    assert len(poly.lattice_points()) == 32
 
 
 def test_non_full_dimensional_polytope():
