@@ -45,7 +45,8 @@ from .triangulate import pulling_triangulation, triangulation_volumes
 
 
 def _emit(payload):
-    sys.stdout.write(dumps_indented(payload) + "\n")
+    sys.stdout.write(dumps_indented(payload))
+    sys.stdout.write("\n")
 
 
 def _load(path, reader):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .cutpoly import Graph
@@ -160,8 +161,8 @@ def facet_to_json(facet):
 def profile_to_json(profile):
     return {
         "facet": facet_to_json(profile.facet),
-        "levels": [int(m) for m in profile.levels],
-        "witnesses": [list(w) for w in profile.witnesses],
+        "levels": profile.levels,
+        "witnesses": profile.witnesses,
     }
 
 
@@ -170,9 +171,13 @@ def dumps_indented(obj):
 
     With ``indent`` set, CPython's json module uses its pure-Python encoder,
     which yields one small string per token.  This writer joins a list of
-    plain ints with ``str`` in one step, passes keys and strings through the
-    same escaper the json module uses, and hands other scalars to
-    ``json.dumps``.  Keys must be strings.
+    plain ints with ``str`` in one step.  A list of int rows (tuples of one
+    length, every entry exactly ``int``) is rendered by one ``%d`` template
+    built for that indent and length, one ``%`` per row.  Keys and strings
+    go through the same escaper the json module uses, and other scalars to
+    ``json.dumps``.  Type checks are exact, so a ``bool`` or float entry
+    takes the generic path and prints as ``json.dumps`` prints it.  Keys
+    must be strings.
     """
     return _indented(obj, "\n")
 
@@ -189,8 +194,18 @@ def _indented(obj, newline):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(x) is int for x in obj):
+        types = {*map(type, obj)}
+        if types == {int}:
             items = map(str, obj)
+        elif (
+            types == {tuple}
+            and len({*map(len, obj)}) == 1
+            and {*map(type, chain.from_iterable(obj))} == {int}
+        ):
+            # rows of one length, every entry exactly int (so at least one)
+            row = inner + "  "
+            template = "[" + row + ("," + row).join(["%d"] * len(obj[0])) + inner + "]"
+            items = map(template.__mod__, obj)
         else:
             items = (_indented(x, inner) for x in obj)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -205,8 +220,8 @@ def certificate_to_json(cert):
             "facet": facet_to_json(v.facet),
             "high_level": int(v.high_level),
             "low_level": int(v.low_level),
-            "high_witness": list(v.high_witness),
-            "low_witness": list(v.low_witness),
+            "high_witness": v.high_witness,
+            "low_witness": v.low_witness,
         }
     payload["profiles"] = [profile_to_json(p) for p in cert.profiles]
     return payload

@@ -240,6 +240,11 @@ class AffineLattice:
         if len(rows) != len(self.basis):
             raise ValueError("lattice basis rows must be linearly independent")
         object.__setattr__(self, "basis", tuple(rows))
+        # each row's pivot column, found once: difference_coords runs once
+        # per candidate point of the lattice-point scan
+        object.__setattr__(
+            self, "_pivots", tuple(next(j for j, v in enumerate(row) if v) for row in rows)
+        )
 
     @property
     def dim(self):
@@ -259,8 +264,7 @@ class AffineLattice:
             return () if not any(vec) else None
         z = []
         residual = list(vec)
-        for row in self.basis:
-            c = next(j for j, v in enumerate(row) if v)
+        for row, c in zip(self.basis, self._pivots):
             if residual[c] % row[c] != 0:
                 return None
             q = residual[c] // row[c]

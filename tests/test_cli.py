@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 import polycomp
 import polycomp.cutpoly as cutpoly
 from polycomp.cli import main
+from polycomp.compressed import is_compressed
+from polycomp.jsonio import certificate_to_json, polytope_from_json
 
 SQUARE = {"points": [[0, 0], [1, 0], [0, 1], [1, 1]], "lattice": "auto"}
 SEGMENT_AMBIENT = {"points": [[0], [2]], "lattice": "ambient"}
@@ -281,6 +284,49 @@ def test_certify_integers_beyond_the_str_digit_limit(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
     assert '"verdict": true' in out
     assert len(out) > 4 * 4301
+
+
+def _jittered_cross_polytope(dim, seed):
+    """A cross-polytope with its vertices moved by at most one unit off the
+    axes: few generators, dozens of lattice points and hundreds of witness
+    rows in its certificate."""
+    rng = random.Random(seed)
+    center = [5] * dim
+    points = {tuple(center)}
+    for axis in range(dim):
+        for sign in (1, -1):
+            p = [c + rng.randint(-1, 1) for c in center]
+            p[axis] = center[axis] + sign * rng.randint(2, 3)
+            points.add(tuple(p))
+    return {"points": [list(p) for p in sorted(points)], "lattice": "ambient"}
+
+
+# the unit square translated by 4301-digit integers, built by arithmetic:
+# int("7" * 4301) would hit the int-string limit at import
+_SEVENS = 7 * (10 ** 4301 - 1) // 9
+_HUGE_SQUARE = [[x, y] for x in (_SEVENS, _SEVENS + 1) for y in (_SEVENS, _SEVENS + 1)]
+
+
+@pytest.mark.parametrize("polytope", [
+    {"points": [[3, 4]]},  # 0-dimensional: no profiles
+    {"points": [[0], [3]], "lattice": "ambient"},  # a violation over 3 levels
+    {"points": [[0, 0], [4, 0], [0, 2], [4, 2]],
+     "lattice": {"anchor": [0, 0], "basis": [[2, 0], [0, 1]]}},
+    {"points": _HUGE_SQUARE, "lattice": "auto"},
+    _jittered_cross_polytope(4, 0),
+], ids=["point", "segment", "declared-lattice", "huge-square", "jittered-cross"])
+def test_certify_prints_the_bytes_of_json_dumps(tmp_path, capsys, polytope):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        path = write(tmp_path, "poly.json", polytope)
+        cert = is_compressed(polytope_from_json(polytope))
+        expected = json.dumps(certificate_to_json(cert), indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, _ = run(capsys, ["certify", "--polytope", path])
+    assert code == (0 if cert.verdict else 1)
+    assert out == expected
 
 
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):

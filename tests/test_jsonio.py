@@ -110,8 +110,33 @@ _SCALARS = (
     | st.text()
     | st.sampled_from(["", "\"", "\\", "\n\t\u0001", "é€𝄞", "\u2028"])
 )
+
+
+@st.composite
+def _rows(draw):
+    """Row-shaped lists as a certificate's witnesses: equal-length int rows,
+    sometimes with one odd row (another length, possibly 0) or one odd
+    entry (a bool, a float or a huge int), as tuples or lists in a list or
+    a tuple.  Only exact-int rows of one nonzero length print as bare
+    digits under a ``%d`` template; every other case must print as
+    ``json.dumps`` prints it."""
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.integers(), min_size=width, max_size=width), max_size=6))
+    if rows:
+        at = draw(st.integers(0, len(rows) - 1))
+        odd = draw(st.sampled_from(["entry", "length", "none"]))
+        if odd == "length":
+            rows[at] = draw(st.lists(st.integers(), max_size=5))
+        elif odd == "entry" and width:
+            rows[at][draw(st.integers(0, width - 1))] = draw(
+                st.sampled_from([True, False, 1.5, 2.0, -0.0]) | _HUGE | st.floats()
+            )
+    row = draw(st.sampled_from([tuple, list]))
+    return draw(st.sampled_from([list, tuple]))(map(row, rows))
+
+
 _DOCUMENTS = st.recursive(
-    _SCALARS,
+    _SCALARS | _rows(),
     lambda children: (
         st.lists(_INTS)
         | st.lists(children)
@@ -122,8 +147,8 @@ _DOCUMENTS = st.recursive(
 )
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(_DOCUMENTS)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_DOCUMENTS | _rows())
 def test_dumps_indented_matches_json_dumps(doc):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
