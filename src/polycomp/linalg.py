@@ -240,11 +240,14 @@ class AffineLattice:
         if len(rows) != len(self.basis):
             raise ValueError("lattice basis rows must be linearly independent")
         object.__setattr__(self, "basis", tuple(rows))
-        # each row's pivot column, found once: difference_coords runs once
-        # per candidate point of the lattice-point scan
-        object.__setattr__(
-            self, "_pivots", tuple(next(j for j, v in enumerate(row) if v) for row in rows)
-        )
+        # each row as (pivot column, pivot, nonzero entries after the pivot),
+        # found once: difference_coords runs once per candidate point of the
+        # lattice-point scan
+        steps = []
+        for row in rows:
+            c = next(j for j, v in enumerate(row) if v)
+            steps.append((c, row[c], tuple((j, v) for j, v in enumerate(row) if v and j > c)))
+        object.__setattr__(self, "_steps", tuple(steps))
 
     @property
     def dim(self):
@@ -258,19 +261,24 @@ class AffineLattice:
         """Coordinates z with z @ basis == vec, or None if vec is outside.
 
         The stored basis is in row HNF, so forward substitution along the
-        pivot columns solves the system directly.
+        pivot columns solves the system directly.  A row is zero before its
+        pivot, so a step clears the pivot entry of the residual and changes
+        only the entries where the row is nonzero after it.
         """
         if not self.basis:
             return () if not any(vec) else None
         z = []
         residual = list(vec)
-        for row, c in zip(self.basis, self._pivots):
-            if residual[c] % row[c] != 0:
+        for c, p, entries in self._steps:
+            r = residual[c]
+            if r % p:
                 return None
-            q = residual[c] // row[c]
+            q = r // p
             z.append(q)
             if q:
-                residual = [r - q * v for r, v in zip(residual, row)]
+                residual[c] = 0
+                for j, v in entries:
+                    residual[j] -= q * v
         if any(residual):
             return None
         return tuple(z)

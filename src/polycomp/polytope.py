@@ -77,11 +77,16 @@ def _facets_dd(points, dim):
     solves ``base . y = e_j``, so scaled to a primitive integer vector it is
     the ray tight at every start row but the j-th.  Rays carry bitmasks of
     the constraints tight at them; adjacency of a positive/negative ray pair
-    is decided combinatorially (no third ray's tight set contains the common
-    one), which is what keeps the insertion step polynomial per output ray.
-    Each new ray lies in the relative interior of the 2-face spanned by its
-    adjacent pair; relative interiors of distinct faces are disjoint, so no
-    two pairs give the same new ray and no new ray equals a kept one.
+    is decided combinatorially: no third ray is tight on every constraint of
+    the pair's common tight set (Fukuda & Prodon 1996).  The test runs
+    transposed.  Each ray keeps one index for the whole run, and each
+    constraint keeps one integer bitmask of the rays tight at it, so the
+    rays tight on the common set are the AND of those bitmasks over the set,
+    restricted to the live rays, and the pair is adjacent exactly when that
+    AND is the pair itself.  Each new ray lies in the relative interior of
+    the 2-face spanned by its adjacent pair; relative interiors of distinct
+    faces are disjoint, so no two pairs give the same new ray and no new ray
+    equals a kept one.
     Every ray also carries its value against all n constraints, updated
     with the same combination that builds the ray, so no dot product is ever
     recomputed and the final values double as the facet slacks.
@@ -99,37 +104,50 @@ def _facets_dd(points, dim):
     start_set = set(pivots)
     start_mask = sum(1 << i for i in pivots)
 
+    # ray k keeps index k for the whole run; holders[j] has bit k set when
+    # ray k is tight at constraint j, and live has bit k set while ray k is
+    # in the cone
     rays, masks, values = [], [], []
+    holders = [0] * n
     for i, red in zip(pivots, reduced):
         ray = primitive(red[n:])
         rays.append(ray)
         masks.append(start_mask & ~(1 << i))
         values.append([dot(row, ray) for row in rows])
+    alive = list(range(width))
+    live = (1 << width) - 1
+    for k, j in enumerate(pivots):
+        holders[j] = live ^ 1 << k
+    min_common = dim - 1
 
     for c in range(n):
         if c in start_set:
             continue
         cbit = 1 << c
-        neg = [i for i in range(len(rays)) if values[i][c] < 0]
-        pos = [i for i in range(len(rays)) if values[i][c] > 0]
-        zero = [i for i in range(len(rays)) if values[i][c] == 0]
-        new_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
-        new_masks = [masks[i] for i in pos] + [masks[i] | cbit for i in zero]
-        new_values = [values[i] for i in pos + zero]
-        min_common = dim - 1
+        pos, neg, zero = [], [], []
+        for k in alive:
+            v = values[k][c]
+            (pos if v > 0 else neg if v < 0 else zero).append(k)
+        born = []
         for p in pos:
             mp = masks[p]
             vp = values[p][c]
+            bp = 1 << p
             for m in neg:
                 common = mp & masks[m]
                 if common.bit_count() < min_common:
                     continue
-                adjacent = True
-                for k, mk in enumerate(masks):
-                    if k != p and k != m and common & mk == common:
-                        adjacent = False
+                # the rays tight on all of common, narrowed one constraint
+                # at a time; p and m always stay in
+                pair = bp | 1 << m
+                rest = live
+                while common:
+                    low = common & -common
+                    rest &= holders[low.bit_length() - 1]
+                    if rest == pair:
                         break
-                if not adjacent:
+                    common ^= low
+                if rest != pair:
                     continue
                 vm = values[m][c]
                 combo = tuple(vp * rm - vm * rp for rp, rm in zip(rays[p], rays[m]))
@@ -139,13 +157,31 @@ def _facets_dd(points, dim):
                     vals = [(vp * b - vm * a) // g for a, b in zip(values[p], values[m])]
                 else:
                     vals = [vp * b - vm * a for a, b in zip(values[p], values[m])]
-                new_rays.append(combo)
-                new_masks.append(common | cbit)
-                new_values.append(vals)
-        rays, masks, values = new_rays, new_masks, new_values
+                born.append((combo, mp & masks[m] | cbit, vals))
+        # the new rays join only after every pair of this step was tested
+        for k in zero:
+            masks[k] |= cbit
+            holders[c] |= 1 << k
+        for k in neg:
+            live ^= 1 << k
+            rays[k] = values[k] = None
+        alive = pos + zero
+        for ray, mask, vals in born:
+            k = len(rays)
+            rays.append(ray)
+            masks.append(mask)
+            values.append(vals)
+            alive.append(k)
+            bk = 1 << k
+            live |= bk
+            while mask:
+                low = mask & -mask
+                holders[low.bit_length() - 1] |= bk
+                mask ^= low
 
     facets = []
-    for ray, vals in zip(rays, values):
+    for k in alive:
+        ray, vals = rays[k], values[k]
         g = ray[1:]
         if not any(g):
             continue

@@ -31,7 +31,7 @@ from polycomp.polytope import (
 )
 from polycomp.triangulate import pulling_triangulation_of
 
-from conftest import _facets_bruteforce, lattice_points_by_box, small_polytopes
+from conftest import _facets_bruteforce, birkhoff, lattice_points_by_box, small_polytopes
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 CUT_K3 = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -111,6 +111,56 @@ def test_dd_on_zero_one_cube():
     facets = _facets_dd(cube, 4)
     assert len(facets) == 8
     assert facets == _facets_bruteforce(cube, 4)
+
+
+def hull_coords(poly):
+    return [poly.hull_lattice.coords(p) for p in poly.generators]
+
+
+# Degenerate inputs: many points on each facet, so rays stay tight at many
+# constraints and live through many insertion steps.
+@pytest.mark.parametrize("poly", [
+    birkhoff(3),
+    marginal_polytope(marginal_matrix(boundary_of_simplex(3), (2, 2, 2))),
+    marginal_polytope(marginal_matrix(boundary_of_simplex(3), (2, 2, 3))),
+], ids=["birkhoff-b3", "bd-222", "bd-223"])
+def test_dd_matches_bruteforce_on_degenerate_models(poly):
+    assert len(poly.generators) <= 12
+    z = hull_coords(poly)
+    assert _facets_dd(z, poly.dim) == _facets_bruteforce(z, poly.dim)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 1)] * 5), min_size=2, max_size=12, unique=True))
+def test_dd_matches_bruteforce_on_zero_one_point_sets(points):
+    # subsets of the 5-cube's vertices: every point is a vertex, and the
+    # facets of a low-dimensional hull hold many of them
+    poly = LatticePolytope(points)
+    z = hull_coords(poly)
+    assert _facets_dd(z, poly.dim) == _facets_bruteforce(z, poly.dim)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(0, 2)] * dim), min_size=dim + 6, max_size=14, unique=True)))
+def test_dd_matches_bruteforce_on_crowded_point_sets_out_of_order(points):
+    # points of a small box in the order drawn: many of them land on or
+    # inside the cone built so far, so a constraint with no negative ray
+    # must still record its tight rays for the pairs of later steps
+    dim = len(points[0])
+    assume(matrix_rank([vsub(p, points[0]) for p in points[1:]]) == dim)
+    assert _facets_dd(points, dim) == _facets_bruteforce(points, dim)
+
+
+@pytest.mark.parametrize("poly, count", [
+    (cut_polytope(complete_graph(5)), 56),
+    (cut_polytope(complete_graph(6)), 368),
+    (birkhoff(4), 16),
+], ids=["cut-k5", "cut-k6", "birkhoff-b4"])
+def test_dd_facet_counts_from_the_literature(poly, count):
+    # Deza & Laurent, "Geometry of Cuts and Metrics": Cut(K5) has 56 facets
+    # and Cut(K6) 368; B4 has one facet x_ij >= 0 per entry
+    assert len(_facets_dd(hull_coords(poly), poly.dim)) == count
 
 
 class RecordingConfiguration(PointConfiguration):
