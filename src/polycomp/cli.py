@@ -39,7 +39,7 @@ from .jsonio import (
     model_from_json,
     polytope_from_json,
 )
-from .margins import DEFAULT_COLUMN_CAP, margins_compressed
+from .margins import margins_compressed
 from .polytope import LatticePolytope
 from .triangulate import pulling_triangulation, triangulation_volumes
 
@@ -123,7 +123,7 @@ def cmd_cut_classify(args):
 def cmd_margin_classify(args):
     complex_, d = _load(args.model, model_from_json)
     try:
-        result = margins_compressed(complex_, d, column_cap=args.column_cap)
+        result = margins_compressed(complex_, d)
     except ValueError as exc:
         raise InputError(str(exc))
     _emit({"compressed": result.verdict, "rule": result.rule})
@@ -453,8 +453,6 @@ def build_parser():
 
     p = sub.add_parser("margin-classify", help="compressedness of a marginal polytope")
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--column-cap", type=int, default=DEFAULT_COLUMN_CAP,
-                   help="certifier fallback cap on table cells (default %(default)s)")
     p.set_defaults(func=cmd_margin_classify)
 
     p = sub.add_parser("bounds", help="exact LP and IP optimum of one cell")

@@ -241,8 +241,8 @@ class AffineLattice:
             raise ValueError("lattice basis rows must be linearly independent")
         object.__setattr__(self, "basis", tuple(rows))
         # each row as (pivot column, pivot, nonzero entries after the pivot),
-        # found once: difference_coords runs once per candidate point of the
-        # lattice-point scan
+        # found once: divmod runs once per candidate point of the
+        # lattice-point scan and once per lifted facet
         steps = []
         for row in rows:
             c = next(j for j, v in enumerate(row) if v)
@@ -257,31 +257,31 @@ class AffineLattice:
     def ambient_dim(self):
         return len(self.anchor)
 
-    def difference_coords(self, vec):
-        """Coordinates z with z @ basis == vec, or None if vec is outside.
+    def divmod(self, vec):
+        """``(z, r)`` with ``vec == z @ basis + r`` and r canonical.
 
-        The stored basis is in row HNF, so forward substitution along the
-        pivot columns solves the system directly.  A row is zero before its
-        pivot, so a step clears the pivot entry of the residual and changes
-        only the entries where the row is nonzero after it.
+        One forward pass along the basis rows with floor quotients leaves
+        ``0 <= r[c] < pivot`` at each row's pivot column c.  The basis is in
+        row HNF, so a row is zero before its pivot and a step changes only
+        the pivot entry and the entries after it; later steps never touch
+        an earlier pivot column.  Hence r is the same for every vector of
+        one coset, and r is zero exactly when vec is in the lattice.
         """
-        if not self.basis:
-            return () if not any(vec) else None
         z = []
-        residual = list(vec)
+        r = list(vec)
         for c, p, entries in self._steps:
-            r = residual[c]
-            if r % p:
-                return None
-            q = r // p
+            q = r[c] // p
             z.append(q)
             if q:
-                residual[c] = 0
+                r[c] -= q * p
                 for j, v in entries:
-                    residual[j] -= q * v
-        if any(residual):
-            return None
-        return tuple(z)
+                    r[j] -= q * v
+        return tuple(z), tuple(r)
+
+    def difference_coords(self, vec):
+        """Coordinates z with z @ basis == vec, or None if vec is outside."""
+        z, r = self.divmod(vec)
+        return None if any(r) else z
 
     def coords(self, point):
         """Lattice coordinates of an ambient point; raises if not in the lattice."""

@@ -342,12 +342,12 @@ class MarginVerdict:
     rule: str
 
 
-def margins_compressed(complex_, d, column_cap=DEFAULT_COLUMN_CAP):
+def margins_compressed(complex_, d):
     """Classify whether the marginal polytope of (complex, d) is compressed.
 
     Decision cascade, in order: decomposable; reducible with both parts true;
     cone over a classified base (inherits either way); boundary of a simplex;
-    binary graph; generic certifier when the column count is below the cap.
+    binary graph; generic certifier on at most ``DEFAULT_COLUMN_CAP`` cells.
     The returned rule is the first that decided.
     """
     d = tuple(map(index, d))
@@ -360,10 +360,10 @@ def margins_compressed(complex_, d, column_cap=DEFAULT_COLUMN_CAP):
     for dec in decompositions(complex_):
         d1 = tuple(d[v - 1] for v in dec.part1_vertices)
         d2 = tuple(d[v - 1] for v in dec.part2_vertices)
-        c1 = margins_compressed(dec.part1, d1, column_cap)
+        c1 = margins_compressed(dec.part1, d1)
         if c1.verdict != "true":
             continue
-        c2 = margins_compressed(dec.part2, d2, column_cap)
+        c2 = margins_compressed(dec.part2, d2)
         if c2.verdict == "true":
             return MarginVerdict("true", "reducible")
 
@@ -373,7 +373,7 @@ def margins_compressed(complex_, d, column_cap=DEFAULT_COLUMN_CAP):
         base_vertices = [u for u in range(1, complex_.n + 1) if u != v]
         base = induced_subcomplex(complex_, base_vertices)
         base_d = tuple(d[u - 1] for u in base_vertices)
-        sub = margins_compressed(base, base_d, column_cap)
+        sub = margins_compressed(base, base_d)
         if sub.verdict in ("true", "false"):
             return MarginVerdict(sub.verdict, f"cone({sub.rule})")
 
@@ -388,7 +388,7 @@ def margins_compressed(complex_, d, column_cap=DEFAULT_COLUMN_CAP):
     columns = 1
     for x in d:
         columns *= x
-    if columns <= column_cap:
+    if columns <= DEFAULT_COLUMN_CAP:
         model = marginal_matrix(complex_, d)
         cert = is_compressed(marginal_polytope(model))
         return MarginVerdict("true" if cert.verdict else "false", "certifier")

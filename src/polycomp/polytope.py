@@ -28,13 +28,12 @@ from .linalg import (
     affine_lattice_of,
     dot,
     hermite_normal_form,
-    hnf_basis,
     identity_matrix,
-    integer_kernel,
     matrix_rank,
     primitive,
     rref,
     saturate_rows,
+    solve_fraction_free,
     vsub,
 )
 
@@ -192,17 +191,6 @@ def _facets_dd(points, dim):
     return sorted(facets)
 
 
-def _reduce_mod_rows(vec, hnf_rows):
-    """Canonical representative of vec modulo the lattice spanned by hnf_rows."""
-    v = list(vec)
-    for row in hnf_rows:
-        c = next(j for j, x in enumerate(row) if x)
-        q = v[c] // row[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
-
-
 class PointConfiguration:
     """A fixed point list with a cache of face splits.
 
@@ -346,70 +334,70 @@ class LatticePolytope:
         return self._facets
 
     def _lift_data(self):
-        """Per-polytope invariants for lifting hull-coordinate inequalities.
+        """The integer map that lifts hull-coordinate facets, and the kernel.
 
-        With ``U @ B^T == H`` the HNF of the transposed hull basis ``B``, the
-        first ``dim`` rows of H are the image lattice ``B @ Z^ambient`` in
-        canonical form, the rows of U behind them map onto those rows, and
-        the remaining rows of U span the integer kernel of B.
+        Let B be the hull basis and ``U @ B^T == H`` the HNF of its
+        transpose, with U unimodular.  Every integer a is ``(y, w) @ U``
+        for integer y and w, and ``B @ a == y @ H[:dim]`` because the last
+        rows of H are zero; so B @ a == t exactly when ``y @ H[:dim] == t``.
+        Over Q that is ``y == t @ H[:dim]^-1``, and one fraction-free solve
+        makes it integral for one denominator d: ``L == d * H[:dim]^-1 @
+        U[:dim]``.
+        Stored are the nonzero entries of each row of L (one row per hull
+        coordinate), d, and the integer kernel of B as a lattice at the
+        origin over ``U[dim:]``.
         """
         if self._lift_cache is None:
             basis = self.hull_lattice.basis
             columns = [[row[j] for row in basis] for j in range(self.ambient_dim)]
             h, u = hermite_normal_form(columns)
-            image = [(next(j for j, x in enumerate(row) if x), row) for row in h[:self.dim]]
-            kernel = hnf_basis(u[self.dim:])
-            self._lift_cache = (image, u[:self.dim], kernel)
+            x, d = solve_fraction_free(list(zip(*h[:self.dim])), identity_matrix(self.dim))
+            # x is d * H[:dim]^-T, so column i of x holds row i of d * H[:dim]^-1
+            rows = []
+            for i in range(self.dim):
+                row = [0] * self.ambient_dim
+                for xrow, urow in zip(x, u[:self.dim]):
+                    if xrow[i]:
+                        row = [a + xrow[i] * b for a, b in zip(row, urow)]
+                rows.append(tuple((j, v) for j, v in enumerate(row) if v))
+            kernel = AffineLattice((0,) * self.ambient_dim, tuple(map(tuple, u[self.dim:])))
+            self._lift_cache = (rows, d, kernel)
         return self._lift_cache
 
     def _lift_facet(self, g, h, tight, slacks):
         """Canonical ambient integer form of a hull-coordinate facet.
 
-        Finds the minimal positive integer s with s*g in the image lattice
-        by forward substitution along the image rows' pivots, scaling s, the
-        residual and the coordinates y found so far whenever a pivot does
-        not divide the residual.  Then ``a = y @ U`` solves basis @ a = s*g,
-        and a is reduced canonically modulo the integer kernel of the basis
-        map, so equal facets always print identically.
+        ``n = g @ L`` is d times ``g @ H[:dim]^-1 @ U[:dim]``, which solves
+        ``B @ a == g``, so ``n * s / d`` solves ``B @ a == s * g``.  It is
+        ``y @ U[:dim]`` for ``y == s * g @ H[:dim]^-1``, and U is unimodular,
+        so it is integral exactly when y is, that is when s * g lies in the
+        image lattice of B.  The least such s is therefore ``d // gcd(d,
+        *n)``.  The normal a is the kernel remainder of ``n * s / d``, so
+        equal facets always print identically, and the offset is ``s * h +
+        a @ anchor`` because hull coordinates are taken from the anchor.
         """
         if not self.hull_lattice.basis:
             raise ValueError("a 0-dimensional polytope has no facets")
-        image, transform, kernel = self._lift_data()
-        residual = list(g)
-        s = 1
-        y = []
-        for c, row in image:
-            p = row[c]
-            if residual[c] % p:
-                f = p // gcd(residual[c], p)
-                s *= f
-                residual = [f * r for r in residual]
-                y = [f * q for q in y]
-            q = residual[c] // p
-            y.append(q)
-            if q:
-                residual = [r - q * x for r, x in zip(residual, row)]
-        a = [0] * self.ambient_dim
-        for q, urow in zip(y, transform):
-            if q:
-                a = [x + q * v for x, v in zip(a, urow)]
-        a = _reduce_mod_rows(a, kernel)
-        b = s * h + dot(a, self.hull_lattice.anchor)
+        rows, d, kernel = self._lift_data()
+        n = [0] * self.ambient_dim
+        for gi, row in zip(g, rows):
+            if gi:
+                for j, v in row:
+                    n[j] += gi * v
+        e = gcd(d, *n)
+        _, a = kernel.divmod([x // e for x in n])
+        b = d // e * h + dot(a, self.hull_lattice.anchor)
         return FacetIneq(normal=a, offset=b, lattice_normal=tuple(g),
                          lattice_offset=h, tight=tight,
                          generator_slacks=tuple(slacks))
 
     def hull_equations(self):
-        """Integer equations (a, b) with a @ x == b on the affine hull."""
+        """Integer equations (a, b) with a @ x == b on the affine hull: the
+        canonical basis of the integer kernel of the hull basis, which is
+        the kernel lattice the facet lift reduces modulo."""
         if self._hull_equations is None:
-            diffs = [vsub(p, self.generators[0]) for p in self.generators[1:]]
-            diffs = [d for d in diffs if any(d)]
-            if not diffs:
-                covectors = [tuple(r) for r in identity_matrix(self.ambient_dim)]
-            else:
-                covectors = integer_kernel(diffs)
-            anchor = self.generators[0]
-            self._hull_equations = tuple((a, dot(a, anchor)) for a in covectors)
+            anchor = self.hull_lattice.anchor
+            self._hull_equations = tuple((a, dot(a, anchor)) for a in self._lift_data()[2].basis)
         return self._hull_equations
 
     # -- point queries ----------------------------------------------------

@@ -141,6 +141,42 @@ def test_affine_lattice_membership_and_coords():
         lat.coords((0, 1))
 
 
+@st.composite
+def _lattices_and_vectors(draw):
+    """A lattice at the origin in Z^1..Z^5 from echelon rows whose pivots
+    are 1..4, at least one of them not 1, with a vector and two integer
+    combinations of the basis."""
+    n = draw(st.integers(1, 5))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    values = draw(st.lists(st.integers(1, 4), min_size=len(pivots), max_size=len(pivots))
+                  .filter(lambda vs: max(vs) > 1))
+    rows = [tuple(0 if j < c else p if j == c else draw(st.integers(-3, 3)) for j in range(n))
+            for c, p in zip(pivots, values)]
+    lattice = AffineLattice((0,) * n, tuple(rows))
+    vec = tuple(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    combos = [tuple(draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows))))
+              for _ in range(2)]
+    return lattice, vec, combos
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_lattices_and_vectors())
+def test_divmod_gives_the_canonical_remainder(case):
+    lattice, vec, (w, v) = case
+
+    def combine(coeffs):
+        return tuple(sum(c * row[j] for c, row in zip(coeffs, lattice.basis))
+                     for j in range(lattice.ambient_dim))
+
+    z, r = lattice.divmod(vec)
+    assert len(z) == lattice.dim
+    assert tuple(a + b for a, b in zip(combine(z), r)) == vec
+    assert lattice.divmod(tuple(a + b for a, b in zip(vec, combine(w))))[1] == r
+    assert lattice.divmod(r)[1] == r
+    assert (lattice.difference_coords(vec) is not None) == (not any(r))
+    assert lattice.difference_coords(combine(v)) == v
+
+
 def test_lattice_rejects_dependent_basis():
     with pytest.raises(ValueError):
         AffineLattice((0, 0), ((1, 1), (2, 2)))

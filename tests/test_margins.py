@@ -129,7 +129,7 @@ def test_margins_compressed_certifier_fallback():
 
 def test_margins_compressed_unknown_above_cap():
     c4 = graph_complex(cycle_graph(4))
-    res = margins_compressed(c4, (5, 5, 5, 5), column_cap=100)
+    res = margins_compressed(c4, (5, 5, 5, 5))
     assert res.verdict == "unknown"
 
 

@@ -23,7 +23,6 @@ from polycomp.polytope import (
     LatticePolytope,
     PointConfiguration,
     _facets_dd,
-    _reduce_mod_rows,
     affine_hull_equations,
     face_of,
     facet_enumeration,
@@ -297,6 +296,8 @@ LIFT_CORPUS = {
     "index-2-sublattice": lambda: LatticePolytope([(0, 0), (2, 0), (0, 2), (1, 1), (3, 1)]),
     # a facet whose residual shares a factor 2 with an image pivot 4
     "index-8-sublattice": lambda: LatticePolytope([(0, 0), (2, -2), (0, 4), (-2, -2)]),
+    # the lift's denominator is 4, larger than every scale
+    "auto-index-4": lambda: LatticePolytope([(0, 0), (2, 0), (0, 2)]),
     "bd-2-2-3": lambda: marginal_polytope(marginal_matrix(boundary_of_simplex(3), (2, 2, 3))),
     "birkhoff-b3": lambda: LatticePolytope(
         [tuple(int(perm[i] == j) for i in range(3) for j in range(3))
@@ -304,16 +305,16 @@ LIFT_CORPUS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LIFT_CORPUS))
-def test_lifted_facets_are_minimal_integer_solutions(name):
-    # each lifted normal a solves basis @ a == s * g for the least s > 0 that
-    # puts s * g into the image lattice of the basis map, and a is reduced
-    # modulo the integer kernel of that map
-    poly = LIFT_CORPUS[name]()
+def check_lifted_facets(poly):
+    """Each lifted normal a solves basis @ a == s * g for the least s > 0
+    that puts s * g into the image lattice of the basis map, and a is in
+    canonical form modulo the integer kernel of that map: at the pivot c of
+    each of the kernel's HNF rows, 0 <= a[c] < row[c].  Returns the scales."""
     basis = poly.hull_lattice.basis
     columns = [tuple(row[j] for row in basis) for j in range(poly.ambient_dim)]
     image = AffineLattice((0,) * poly.dim, tuple(hnf_basis(columns)))
-    kernel = integer_kernel([list(row) for row in basis])
+    pivots = [(next(c for c, x in enumerate(row) if x), row)
+              for row in integer_kernel([list(row) for row in basis])]
     scales = set()
     for facet in poly.facets():
         g = facet.lattice_normal
@@ -325,13 +326,45 @@ def test_lifted_facets_are_minimal_integer_solutions(name):
         assert image.contains(tuple(s * x for x in g))
         for p in prime_factors(s):
             assert not image.contains(tuple(s // p * x for x in g))
-        assert _reduce_mod_rows(facet.normal, kernel) == facet.normal
+        assert all(0 <= facet.normal[c] < row[c] for c, row in pivots)
         assert facet.offset == s * facet.lattice_offset + dot(facet.normal,
                                                                poly.hull_lattice.anchor)
         scales.add(s)
-    expected_scales = {"index-2-sublattice": {1, 2}, "index-8-sublattice": {2, 4}}
+    return scales
+
+
+def hull_equations_reference(poly):
+    """(a, a @ p0) over the integer kernel of the generator differences, or
+    over the identity when every difference is zero."""
+    p0 = poly.generators[0]
+    diffs = [d for d in (vsub(p, p0) for p in poly.generators[1:]) if any(d)]
+    covectors = integer_kernel(diffs) if diffs else [
+        tuple(int(i == j) for j in range(poly.ambient_dim)) for i in range(poly.ambient_dim)]
+    return tuple((a, dot(a, p0)) for a in covectors)
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CORPUS))
+def test_lifted_facets_are_minimal_integer_solutions(name):
+    poly = LIFT_CORPUS[name]()
+    scales = check_lifted_facets(poly)
+    expected_scales = {"index-2-sublattice": {1, 2}, "index-8-sublattice": {2, 4},
+                       "auto-index-4": {2}}
     if name in expected_scales:
         assert scales == expected_scales[name]
+    assert poly.hull_equations() == hull_equations_reference(poly)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_polytopes())
+def test_lifted_facets_and_hull_equations_on_small_polytopes(poly):
+    check_lifted_facets(poly)
+    assert poly.hull_equations() == hull_equations_reference(poly)
+
+
+def test_hull_equations_of_one_point():
+    poly = LatticePolytope([(3, -1, 2)])
+    assert poly.hull_equations() == hull_equations_reference(poly)
+    assert poly.hull_equations() == (((1, 0, 0), 3), ((0, 1, 0), -1), ((0, 0, 1), 2))
 
 
 def test_lattice_points_segment_with_explicit_lattice():
