@@ -173,23 +173,30 @@ def dumps_indented(obj):
     which yields one small string per token.  This writer joins a list of
     plain ints with ``str`` in one step.  A list of int rows (tuples of one
     length, every entry exactly ``int``) is rendered by one ``%d`` template
-    built for that indent and length, one ``%`` per row.  Keys and strings
-    go through the same escaper the json module uses, and other scalars to
-    ``json.dumps``.  Type checks are exact, so a ``bool`` or float entry
-    takes the generic path and prints as ``json.dumps`` prints it.  Keys
-    must be strings.
+    built for that indent and length.  Each template keeps, for this call
+    only, one dict from every distinct row it has formatted to its string:
+    the first list under a template formats its rows in order, and later
+    lists are joined from the dict, which formats a row only on its first
+    lookup.  So a row repeated as a witness is formatted once, and a list of
+    rows that are all new costs one dict entry per row.  Keys and strings go
+    through the same escaper the json module uses, and other scalars to
+    ``json.dumps``.  Type checks are exact and run over every entry of every
+    list before its dict is read, so a ``bool`` or float entry takes the
+    generic path and prints as ``json.dumps`` prints it, even when the row
+    equals an int row that is already in the dict.  Keys must be strings.
     """
-    return _indented(obj, "\n")
+    return _indented(obj, "\n", {})
 
 
-def _indented(obj, newline):
+def _indented(obj, newline, memos):
     inner = newline + "  "
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items())
+        items = (encode_basestring_ascii(k) + ": " + _indented(v, inner, memos)
+                 for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -205,11 +212,29 @@ def _indented(obj, newline):
             # rows of one length, every entry exactly int (so at least one)
             row = inner + "  "
             template = "[" + row + ("," + row).join(["%d"] * len(obj[0])) + inner + "]"
-            items = map(template.__mod__, obj)
+            memo = memos.get(template)
+            if memo is None:
+                items = list(map(template.__mod__, obj))
+                memos[template] = _RowStrings(template, zip(obj, items))
+            else:
+                items = map(memo.__getitem__, obj)
         else:
-            items = (_indented(x, inner) for x in obj)
+            items = (_indented(x, inner, memos) for x in obj)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(obj)
+
+
+class _RowStrings(dict):
+    """``template % row`` for each distinct row printed under one template;
+    a row not yet in the dict is formatted when it is first looked up."""
+
+    def __init__(self, template, formatted):
+        super().__init__(formatted)
+        self.template = template
+
+    def __missing__(self, row):
+        text = self[row] = self.template % row
+        return text
 
 
 def certificate_to_json(cert):

@@ -412,18 +412,32 @@ class LatticePolytope:
     def lattice_points(self):
         """All declared-lattice points inside the polytope, in lex order.
 
-        Depth-first over the ambient coordinates in ``_scan_order``.  Each
-        node bounds its coordinate by the interval that the hull equations
-        and the first ``PROPAGATED_FACET_LIMIT`` facets leave it, given the
-        coordinates fixed above and the generators' bounding box below, and
-        loops over that interval only.  A point that comes out is checked
-        against the remaining facets and the hull lattice, whose coordinates
-        it keeps for ``lattice_point_hull_coords``.
+        When every ambient coordinate of the generators spans at most one
+        step (max - min <= 1), the lattice points are the generators, and
+        no scan runs: every integer point of P lies in the generators'
+        bounding box, whose integer points are all vertices of the box; a
+        vertex of the box that lies in P is a vertex of P, hence a
+        generator.  The generators are in the declared lattice and sorted
+        already, and their hull coordinates are known.  This covers 0/1
+        polytopes such as the boundary, cut and Birkhoff models.
+
+        Otherwise the scan runs depth-first over the ambient coordinates in
+        ``_scan_order``.  Each node bounds its coordinate by the interval
+        that the hull equations and the first ``PROPAGATED_FACET_LIMIT``
+        facets leave it, given the coordinates fixed above and the
+        generators' bounding box below, and loops over that interval only.
+        A point that comes out is checked against the remaining facets and
+        the hull lattice, whose coordinates it keeps for
+        ``lattice_point_hull_coords``.
         """
         if self._lattice_points is None:
-            found = sorted(self._scan_lattice_points())
-            self._lattice_points = tuple(p for p, _ in found)
-            self._lattice_point_coords = tuple(z for _, z in found)
+            if all(max(c) - min(c) <= 1 for c in zip(*self.generators)):
+                self._lattice_points = self.generators
+                self._lattice_point_coords = self._pts_m
+            else:
+                found = sorted(self._scan_lattice_points())
+                self._lattice_points = tuple(p for p, _ in found)
+                self._lattice_point_coords = tuple(z for _, z in found)
         return self._lattice_points
 
     @staticmethod

@@ -212,8 +212,11 @@ def lattice_points_by_box(polytope):
 
 
 @st.composite
-def small_polytopes(draw):
-    """A lattice polytope of dimension at most 4 with coordinates in -3..3.
+def small_polytopes(draw, side=None):
+    """A lattice polytope of dimension at most 4 with coordinates in -3..3;
+    with ``side``, each coordinate takes the values c, ..., c + side for its
+    own c drawn from -1, 0 and 4, so for side 1 the generators are 0/1
+    points shifted off the origin.
 
     The lattice is the generators' own ("auto"), the whole ambient lattice,
     or the index-2 lattice of points whose coordinate sum has the parity of
@@ -225,8 +228,12 @@ def small_polytopes(draw):
     ``lattice_points_by_box``.
     """
     dim = draw(st.integers(1, 4))
-    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
-                        min_size=2, max_size=dim + 4, unique=True))
+    if side:
+        corner = draw(st.tuples(*[st.sampled_from([-1, 0, 4])] * dim))
+        coordinates = st.tuples(*[st.integers(c, c + side) for c in corner])
+    else:
+        coordinates = st.tuples(*[st.integers(-3, 3)] * dim)
+    pts = draw(st.lists(coordinates, min_size=2, max_size=dim + 4, unique=True))
     kind = draw(st.sampled_from(["auto", "ambient", "index-2"]))
     basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     if kind == "index-2":

@@ -117,12 +117,16 @@ def _rows(draw):
     """Row-shaped lists as a certificate's witnesses: equal-length int rows,
     sometimes with one odd row (another length, possibly 0) or one odd
     entry (a bool, a float or a huge int), as tuples or lists in a list or
-    a tuple.  Only exact-int rows of one nonzero length print as bare
-    digits under a ``%d`` template; every other case must print as
-    ``json.dumps`` prints it."""
+    a tuple.  Entries are sometimes only -1, 0 and 1, and rows are
+    sometimes repeated, so equal rows meet within a list and across
+    sibling lists, as repeated witnesses do.  Only exact-int rows of one
+    nonzero length print as bare digits under a ``%d`` template; every
+    other case must print as ``json.dumps`` prints it."""
     width = draw(st.integers(0, 4))
-    rows = draw(st.lists(st.lists(st.integers(), min_size=width, max_size=width), max_size=6))
+    entries = draw(st.sampled_from([st.integers(), st.integers(-1, 1)]))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=6))
     if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
         at = draw(st.integers(0, len(rows) - 1))
         odd = draw(st.sampled_from(["entry", "length", "none"]))
         if odd == "length":
@@ -156,3 +160,25 @@ def test_dumps_indented_matches_json_dumps(doc):
         assert dumps_indented(doc) == json.dumps(doc, indent=2)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.tuples(*[st.integers(-1, 1)] * width), max_size=6), max_size=4)))
+def test_dumps_indented_matches_json_dumps_on_sibling_row_lists(doc):
+    # witness lists of one row length: rows repeat within a list and
+    # across siblings, and a later sibling brings rows not seen before
+    assert dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    [[(1, 0), (1, 0)], [(1, 0)]],
+    [[(1, 0), (1, 0)], [(1, 0), (0, 1)]],
+    # equal rows, but a bool row takes the generic path and prints "true"
+    [[(1, 0)], [(True, 0)]],
+    [[(True, 0)], [(1, 0)]],
+    # one row at two depths, so under two templates
+    [[(1, 0)], [[(1, 0)], [(1, 0)]], {"w": [(1, 0)]}],
+])
+def test_dumps_indented_repeated_rows(doc):
+    assert dumps_indented(doc) == json.dumps(doc, indent=2)

@@ -408,12 +408,14 @@ def test_lattice_points_supersets_generators_and_satisfy_facets():
             assert poly.hull_lattice.contains(p)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(small_polytopes())
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(small_polytopes() | small_polytopes(side=1) | small_polytopes(side=2))
 def test_lattice_points_match_bounding_box_oracle(poly):
     # completeness as well as soundness, in lex order; the scan decides every
     # equation and facet before it asks the lattice, and the hull
-    # coordinates it keeps are the lattice's own
+    # coordinates it keeps are the lattice's own.  The 0/1 draws (side 1),
+    # unless an embedding widens their box, take the no-scan rule instead;
+    # the side-2 draws sit just past it
     poly.facets()
     asked = []
     solve = AffineLattice.difference_coords
@@ -432,11 +434,41 @@ def test_lattice_points_match_bounding_box_oracle(poly):
 
 
 def test_lattice_points_match_oracle_past_the_propagated_facets():
-    # Cut(K6) has 368 facets, so most of them are checked only at the leaves
-    poly = cut_polytope(complete_graph(6))
+    # the integer points of the ball of radius 4: 68 facets, so the last
+    # ones are checked only at the leaves; 257 points in a box of 729
+    ball = [p for p in product(range(-4, 5), repeat=3) if dot(p, p) <= 16]
+    poly = LatticePolytope(ball)
     assert len(poly.facets()) > polytope.PROPAGATED_FACET_LIMIT
     assert poly.lattice_points() == lattice_points_by_box(poly)
+    assert len(poly.lattice_points()) == 257
+
+
+def test_cut_k6_lattice_points_are_its_32_cuts():
+    poly = cut_polytope(complete_graph(6))
+    assert poly.lattice_points() == lattice_points_by_box(poly)
     assert len(poly.lattice_points()) == 32
+
+
+@pytest.mark.parametrize("kind", ["auto", "ambient", "index-2"])
+def test_zero_one_generators_are_the_lattice_points_without_a_scan(kind):
+    # a 0/1 cube shifted to the corner (4, -1, 0), less one vertex, and
+    # embedded in 4-space by a fourth coordinate 5 - x
+    cube = [p for p in product((4, 5), (-1, 0), (0, 1)) if p != (5, 0, 1)]
+    if kind == "index-2":
+        cube = [p for p in cube if sum(p) % 2 == 1]
+    pts = [p + (5 - p[0],) for p in cube]
+    lattice = {
+        "auto": None,
+        "ambient": standard_lattice(4),
+        "index-2": AffineLattice(pts[0], ((2, 0, 0, -2), (1, 1, 0, -1), (1, 0, 1, -1))),
+    }[kind]
+    poly = LatticePolytope(pts, lattice=lattice)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LatticePolytope, "_scan_lattice_points", None)
+        assert poly.lattice_points() == poly.generators
+    assert poly.lattice_point_hull_coords() == tuple(
+        poly.hull_lattice.coords(p) for p in poly.generators)
+    assert poly.lattice_points() == lattice_points_by_box(poly)
 
 
 def test_non_full_dimensional_polytope():
