@@ -7,6 +7,11 @@ the facet normal is primitive on the polytope's lattice, so they are always
 integers.  A second-level witness pair is the seed for the LP/IP gap
 construction in the bounds module.
 
+A polytope whose lattice points are its generators reads each facet's
+slacks from facet enumeration.  Otherwise the hull coordinates of the
+lattice points are packed once into one big integer per coordinate, and
+each facet's slacks come from one linear combination of those integers.
+
 Certified-compressed polytopes embed into a unit cube: sending a point to its
 vector of scaled facet slacks is an affine map under which the polytope
 becomes a 0/1 polytope that is a full cube section.
@@ -14,10 +19,11 @@ becomes a 0/1 polytope that is a full cube section.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
+from operator import lt, sub
 
 from .linalg import dot, rref
 from .polytope import LatticePolytope
@@ -33,10 +39,13 @@ class FacetLevelProfile:
     witnesses: tuple
 
     def __post_init__(self):
-        if list(self.levels) != sorted(set(self.levels)):
-            raise ValueError("levels must be strictly increasing")
-        if not all(m > 0 for m in self.levels):
+        levels = self.levels
+        if levels and levels[0] <= 0:
             raise ValueError("levels must be positive")
+        if not all(map(lt, levels, levels[1:])):
+            raise ValueError("levels must be strictly increasing")
+        if len(self.witnesses) != len(levels):
+            raise ValueError("there must be one witness per level")
 
 
 @dataclass(frozen=True)
@@ -57,38 +66,90 @@ class CompressedCertificate:
     violation: Violation | None
 
 
+# array type codes by item size; a field width without one is packed and
+# unpacked through int.to_bytes and int.from_bytes
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _pack(values, k):
+    """One int whose k-byte fields, in native byte order, hold the
+    non-negative ``values`` < 2**(8*k): value i weighs 2**(8*k*i) on a
+    little-endian machine and is the i-th field from the top on a big-endian
+    one.  Either way the packing is linear, and ``_unpack`` inverts it."""
+    code = _ARRAY_CODES.get(k)
+    if code is None:
+        data = b"".join(v.to_bytes(k, sys.byteorder) for v in values)
+    else:
+        data = array(code, values).tobytes()
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _unpack(number, n, k):
+    """The n k-byte fields of ``number``, as packed by ``_pack``."""
+    data = number.to_bytes(n * k, sys.byteorder)
+    code = _ARRAY_CODES.get(k)
+    if code is None:
+        return [int.from_bytes(data[i:i + k], sys.byteorder) for i in range(0, n * k, k)]
+    return array(code, data).tolist()
+
+
 def _columns(polytope):
-    """The hull-lattice coordinates of the lattice points, one tuple per
-    axis; None when every lattice point is a generator, because then each
-    facet carries its slacks from enumeration."""
+    """The hull-lattice coordinates of the lattice points, packed once for
+    all facets; None when every lattice point is a generator, because then
+    each facet carries its slacks from enumeration.
+
+    Each coordinate column is shifted by its minimum and packed by ``_pack``
+    into one int.  Returns the packed columns, the minima, the packing of
+    all ones and the field width k: the least of 1, 2, 4 and 8 bytes, or the
+    exact byte count past 8, that holds both the largest column span and the
+    largest generator slack over all facets.
+    """
     if polytope.lattice_points() == polytope.generators:
         return None
-    return tuple(zip(*polytope.lattice_point_hull_coords()))
+    columns = tuple(zip(*polytope.lattice_point_hull_coords()))
+    low = tuple(map(min, columns))
+    top = max(
+        max(map(sub, map(max, columns), low)),
+        max(max(f.generator_slacks) for f in polytope.facets()),
+    )
+    need = (top.bit_length() + 7) // 8
+    k = next((w for w in (1, 2, 4, 8) if w >= need), need)
+    packed = tuple(_pack([v - m for v in column], k) for column, m in zip(columns, low))
+    return packed, low, _pack([1] * len(columns[0]), k), k
 
 
 def _profile(polytope, facet, columns):
     """The positive levels of the lattice points over one of the polytope's
     own facets, with the lex-first point at each level.
 
-    The slacks are ``g . z - h`` over the hull coordinates z, summed a
-    column at a time over the nonzero entries of g, or the facet's
-    ``generator_slacks`` when ``columns`` is None.
+    The slacks are the facet's ``generator_slacks`` when ``columns`` is
+    None.  Otherwise they come from one packed product: with z = m + c for
+    the column minima m, the slack ``g . z - h`` of every point is a field
+    of ``sum(g_c * C_c) + (g . m - h) * ONES`` over the packed columns C_c
+    with g_c nonzero.  The sum is exact field by field: every lattice point
+    of P meets every facet, so its slack is at least 0, and a linear
+    function on P is largest at a generator, so the slack is at most the
+    largest generator slack, which fits in a field.  The fields are
+    therefore the base-2**(8k) digits of the sum, with no carries, and one
+    ``to_bytes`` reads them all.
     """
     pts = polytope.lattice_points()
     if columns is None:
         slacks = facet.generator_slacks
     else:
-        n = len(pts)
-        slacks = repeat(-facet.lattice_offset, n)
-        for g, column in zip(facet.lattice_normal, columns):
-            if g:
-                slacks = map(add, slacks, map(mul, repeat(g, n), column))
-        slacks = list(slacks)
+        packed, low, ones, k = columns
+        g = facet.lattice_normal
+        total = (dot(g, low) - facet.lattice_offset) * ones
+        for gc, column in zip(g, packed):
+            if gc:
+                total += gc * column
+        slacks = _unpack(total, len(pts), k)
     # reversed, so the lex-first point at each slack is the one kept
     first = dict(zip(reversed(slacks), reversed(pts)))
-    levels = tuple(sorted(s for s in first if s > 0))
+    # the facet's own generators give the least slack, 0
+    levels = tuple(sorted(first)[1:])
     return FacetLevelProfile(
-        facet=facet, levels=levels, witnesses=tuple(first[s] for s in levels)
+        facet=facet, levels=levels, witnesses=tuple(map(first.__getitem__, levels))
     )
 
 
@@ -105,9 +166,9 @@ def is_compressed(polytope):
     """Certificate that every facet sees at most one positive lattice level.
 
     The lattice points are compared with the generators, and their hull
-    coordinates turned into columns, once for all facets.  On failure the violation reports
-    the lexicographically first offending facet with witnesses for its
-    extreme levels.
+    coordinates packed into columns, once for all facets.  On failure the
+    violation reports the lexicographically first offending facet with
+    witnesses for its extreme levels.
     """
     columns = _columns(polytope)
     profiles = []

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from polycomp.compressed import (
     FacetLevelProfile,
+    _columns,
     cube_embedding,
     facet_levels,
     is_compressed,
@@ -40,10 +41,15 @@ def test_facet_levels_segment():
 
 def test_facet_level_profile_rejects_invalid_levels():
     facet = SEGMENT_012.facets()[0]
-    for levels in ((2, 1), (1, 1), (0, 1), (-1,)):
+    for levels in ((2, 1), (1, 1), (0, 1), (-1,), (1, 3, 2)):
         with pytest.raises(ValueError):
-            FacetLevelProfile(facet=facet, levels=levels, witnesses=())
-    assert FacetLevelProfile(facet=facet, levels=(1, 2), witnesses=()).levels == (1, 2)
+            FacetLevelProfile(facet=facet, levels=levels, witnesses=((0,),) * len(levels))
+    for witnesses in ((), ((1,),), ((1,), (2,), (0,))):
+        with pytest.raises(ValueError):
+            FacetLevelProfile(facet=facet, levels=(1, 2), witnesses=witnesses)
+    profile = FacetLevelProfile(facet=facet, levels=(1, 2), witnesses=((1,), (2,)))
+    assert profile.levels == (1, 2)
+    assert FacetLevelProfile(facet=facet, levels=(), witnesses=()).levels == ()
 
 
 def test_facet_levels_birkhoff_b3_all_single():
@@ -130,13 +136,38 @@ def assert_profiles_match_recount(poly):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(small_polytopes())
+@given(small_polytopes() | small_polytopes(side=2))
 def test_profiles_match_a_recount_by_dot_products(poly):
     # the scan path, and the generator-slack path on the same points
     assert_profiles_match_recount(poly)
     again = LatticePolytope(poly.lattice_points(), lattice=poly.lattice)
     assert again.lattice_points() == again.generators
     assert_profiles_match_recount(again)
+
+
+@pytest.mark.parametrize("r, width", [
+    (2**7 - 1, 1), (2**7, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8),
+    (2**63 - 1, 8), (2**63, 9), (2**64, 9), (2**75, 10),
+])
+def test_profiles_match_a_recount_at_every_field_width(r, width):
+    # (1, 0, 0) is a lattice point but not a generator, so the slacks come
+    # from the packed columns; the largest slack is 2r, at (2, 0, 0) over
+    # the facet through the origin, (0, 1, 0) and (1, 1, r), so the cases
+    # sit on both sides of each field width
+    poly = LatticePolytope([(0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, r)],
+                           lattice=standard_lattice(3))
+    assert len(poly.lattice_points()) == 5
+    assert _columns(poly)[-1] == width
+    assert_profiles_match_recount(poly)
+
+
+@pytest.mark.parametrize("n, width", [(126, 1), (127, 2)])
+def test_the_column_span_also_sets_the_field_width(n, width):
+    # every slack is at most 2, but the first column spans 2n + 2
+    poly = LatticePolytope([(0, 0), (2 * n, 2), (2 * n + 2, 2)], lattice=standard_lattice(2))
+    assert len(poly.lattice_points()) == 6
+    assert _columns(poly)[-1] == width
+    assert_profiles_match_recount(poly)
 
 
 def test_compressed_implies_every_lattice_point_is_vertex():

@@ -177,6 +177,9 @@ def test_dumps_indented_matches_json_dumps_on_sibling_row_lists(doc):
     # equal rows, but a bool row takes the generic path and prints "true"
     [[(1, 0)], [(True, 0)]],
     [[(True, 0)], [(1, 0)]],
+    [[(1, 0)], [(1, 0), (True, 0)]],
+    # distinct tuple objects with equal entries
+    [[tuple([1, 0]), tuple([1, 0])], [tuple([1, 0]), (1, 0)]],
     # one row at two depths, so under two templates
     [[(1, 0)], [[(1, 0)], [(1, 0)]], {"w": [(1, 0)]}],
 ])
