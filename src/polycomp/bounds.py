@@ -320,7 +320,7 @@ def gap_witness(a):
     )
 
 
-def pull_first_unimodular(a, objective_index, cap=DEFAULT_ORDERING_CAP):
+def pull_first_unimodular(a, objective_index):
     """Whether some column ordering starting at the objective column induces a
     unimodular pulling triangulation of the column polytope.
 
@@ -334,8 +334,8 @@ def pull_first_unimodular(a, objective_index, cap=DEFAULT_ORDERING_CAP):
     n = len(columns)
     if not 0 <= objective_index < n:
         raise ValueError("objective index out of range")
-    if n > cap:
-        raise ValueError(f"{n} columns exceed the ordering cap {cap}")
+    if n > DEFAULT_ORDERING_CAP:
+        raise ValueError(f"{n} columns exceed the ordering cap {DEFAULT_ORDERING_CAP}")
     lattice = affine_lattice_of(columns)
     coords = [lattice.coords(c) for c in columns]
     rest = [j for j in range(n) if j != objective_index]

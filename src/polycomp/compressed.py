@@ -19,8 +19,7 @@ becomes a 0/1 polytope that is a full cube section.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt, sub
@@ -66,31 +65,30 @@ class CompressedCertificate:
     violation: Violation | None
 
 
-# array type codes by item size; a field width without one is packed and
-# unpacked through int.to_bytes and int.from_bytes
-_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+# struct codes by field width; a width without one is packed and unpacked
+# through int.to_bytes and int.from_bytes
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _pack(values, k):
-    """One int whose k-byte fields, in native byte order, hold the
-    non-negative ``values`` < 2**(8*k): value i weighs 2**(8*k*i) on a
-    little-endian machine and is the i-th field from the top on a big-endian
-    one.  Either way the packing is linear, and ``_unpack`` inverts it."""
-    code = _ARRAY_CODES.get(k)
+    """One int whose k-byte fields hold the non-negative ``values`` <
+    2**(8*k), value i weighing 2**(8*k*i).  The packing is linear, and
+    ``_unpack`` inverts it."""
+    code = _CODES.get(k)
     if code is None:
-        data = b"".join(v.to_bytes(k, sys.byteorder) for v in values)
+        data = b"".join(v.to_bytes(k, "little") for v in values)
     else:
-        data = array(code, values).tobytes()
-    return int.from_bytes(data, sys.byteorder)
+        data = struct.pack(f"<{len(values)}{code}", *values)
+    return int.from_bytes(data, "little")
 
 
 def _unpack(number, n, k):
     """The n k-byte fields of ``number``, as packed by ``_pack``."""
-    data = number.to_bytes(n * k, sys.byteorder)
-    code = _ARRAY_CODES.get(k)
+    data = number.to_bytes(n * k, "little")
+    code = _CODES.get(k)
     if code is None:
-        return [int.from_bytes(data[i:i + k], sys.byteorder) for i in range(0, n * k, k)]
-    return array(code, data).tolist()
+        return [int.from_bytes(data[i:i + k], "little") for i in range(0, n * k, k)]
+    return struct.unpack(f"<{n}{code}", data)
 
 
 def _columns(polytope):

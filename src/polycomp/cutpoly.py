@@ -118,10 +118,11 @@ def cut_vectors(graph):
     return [seen[c] for c in sorted(seen)]
 
 
-def cut_polytope(graph, cap=DEFAULT_CUT_VERTEX_CAP):
+def cut_polytope(graph):
     """Convex hull of the cut vectors, in the ambient edge lattice Z^E."""
-    if graph.n > cap:
-        raise ValueError(f"{graph.n} vertices exceed the cut enumeration cap {cap}")
+    if graph.n > DEFAULT_CUT_VERTEX_CAP:
+        raise ValueError(
+            f"{graph.n} vertices exceed the cut enumeration cap {DEFAULT_CUT_VERTEX_CAP}")
     pts = [cv.coords for cv in cut_vectors(graph)]
     return LatticePolytope(pts, lattice=standard_lattice(len(graph.edges)))
 

@@ -6,7 +6,9 @@ generators; a coarser ambient lattice (for example Z^E for cut polytopes) can
 be declared explicitly.  All geometric computation happens in the coordinates
 of the "hull lattice" (declared lattice restricted to the affine hull), where
 the polytope is full dimensional and facet normals have a canonical primitive
-normalization.
+normalization.  The lattice-point scan runs there too: every integer point
+of those coordinates is a lattice point, and the facets alone cut out P, so
+it needs neither the hull equations nor a lattice test.
 
 Facet enumeration is the double description method for every input size.
 The tests compare it against an independent brute-force hyperplane search
@@ -36,9 +38,6 @@ from .linalg import (
     solve_fraction_free,
     vsub,
 )
-
-PROPAGATED_FACET_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class FacetIneq:
@@ -421,111 +420,62 @@ class LatticePolytope:
         already, and their hull coordinates are known.  This covers 0/1
         polytopes such as the boundary, cut and Birkhoff models.
 
-        Otherwise the scan runs depth-first over the ambient coordinates in
-        ``_scan_order``.  Each node bounds its coordinate by the interval
-        that the hull equations and the first ``PROPAGATED_FACET_LIMIT``
-        facets leave it, given the coordinates fixed above and the
-        generators' bounding box below, and loops over that interval only.
-        A point that comes out is checked against the remaining facets and
-        the hull lattice, whose coordinates it keeps for
-        ``lattice_point_hull_coords``.
+        Otherwise the scan runs depth-first over the hull-lattice
+        coordinates z_0, ..., z_{dim-1}, where P is full dimensional and
+        every integer z is a lattice point.  Each node bounds its coordinate
+        by the generators' box in z and by the interval every facet leaves
+        it, given the coordinates fixed above and the box below, and loops
+        over that interval only.  A facet is decided at the node of its last
+        nonzero coefficient, so every leaf is a lattice point of P, kept with
+        its z for ``lattice_point_hull_coords``.  The hull basis is in row
+        HNF with positive pivots, so the ambient point is lex increasing in
+        z and the scan finds the points in lex order.
         """
         if self._lattice_points is None:
             if all(max(c) - min(c) <= 1 for c in zip(*self.generators)):
                 self._lattice_points = self.generators
                 self._lattice_point_coords = self._pts_m
             else:
-                found = sorted(self._scan_lattice_points())
+                found = self._scan_lattice_points()
                 self._lattice_points = tuple(p for p, _ in found)
                 self._lattice_point_coords = tuple(z for _, z in found)
         return self._lattice_points
 
-    @staticmethod
-    def _scan_order(amb, equations):
-        """Coordinate order that decides sparse equations early.
-
-        Greedy: repeatedly take the equation with the fewest unplaced support
-        coordinates and place them.  An equation prunes hard once all its
-        coordinates are fixed, so clustering supports keeps the search narrow;
-        the lexicographic order can be exponentially worse when supports
-        straddle the coordinate range.
-        """
-        supports = [frozenset(j for j, x in enumerate(a) if x) for a, _ in equations]
-        placed = []
-        placed_set = set()
-        open_eqs = sorted(range(len(supports)), key=lambda i: (len(supports[i]), i))
-        remaining = set(open_eqs)
-        while remaining:
-            best = min(
-                remaining,
-                key=lambda i: (len(supports[i] - placed_set), min(supports[i] | {amb}), i),
-            )
-            for j in sorted(supports[best] - placed_set):
-                placed.append(j)
-                placed_set.add(j)
-            remaining.discard(best)
-            remaining = {i for i in remaining if not supports[i] <= placed_set}
-        placed.extend(j for j in range(amb) if j not in placed_set)
-        return placed
-
     def _scan_lattice_points(self):
-        """(point, hull-lattice coordinates) of every lattice point, unsorted."""
+        """(point, hull-lattice coordinates) of every lattice point, in lex order."""
         if self.dim == 0:
             return [(self.generators[0], ())]
-        amb = self.ambient_dim
-        lows = [min(p[j] for p in self.generators) for j in range(amb)]
-        highs = [max(p[j] for p in self.generators) for j in range(amb)]
-        cons = [(a, b, True) for a, b in self.hull_equations()]
-        all_facets = self.facets()
-        # propagating thousands of inequalities costs more than it prunes;
-        # past a bounded prefix the rest are checked once per candidate
-        prop_facets = all_facets[:PROPAGATED_FACET_LIMIT]
-        leaf_facets = all_facets[PROPAGATED_FACET_LIMIT:]
-        cons += [(f.normal, f.offset, False) for f in prop_facets]
-        for (a, b, is_eq) in cons:
-            if not any(a):
-                if b != 0 and (is_eq or 0 < b):
-                    return []
-        order = self._scan_order(amb, self.hull_equations())
-        # Node ``pos`` fixes coordinate j = order[pos] to v.  For a
-        # constraint a.x >= b (or == b), let s be its sum over the
-        # coordinates fixed above and [lo, hi] the range of its sum over the
-        # box of the ones below.  Then a_j * v >= b - s - hi, and for an
-        # equation also a_j * v <= b - s - lo.  Each bound is a term
+        lows = [min(c) for c in zip(*self._pts_m)]
+        highs = [max(c) for c in zip(*self._pts_m)]
+        facets = [(f.lattice_normal, f.lattice_offset) for f in self.facets()]
+        # Node i fixes z_i to v.  For a facet g.z >= h, let s be its sum over
+        # the coordinates fixed above and hi the largest value of its sum over
+        # the box of the ones below.  Then g_i * v >= h - s - hi, a term
         # t = (s + k) // d: v <= t for an upper term, v >= -t for a lower one
-        # (a negative d turns the floor into a ceiling).  An equation with
-        # lo == hi pins v to one value or none, so its terms are tested
-        # first; at the last position every constraint is decided.
-        rest = [(0, 0)] * len(cons)
+        # (a negative d turns the floor into a ceiling).  At the node of the
+        # facet's last nonzero coefficient hi is 0, so the term decides it.
+        # The ambient point moves along each basis row's nonzero entries.
+        rest = [0] * len(facets)
         nodes = []
-        for pos in range(amb - 1, -1, -1):
-            j = order[pos]
-            decided, terms, updates = [], [], []
-            for idx, (a, b, is_eq) in enumerate(cons):
-                c = a[j]
-                if not c:
-                    continue
-                lo, hi = rest[idx]
-                rest[idx] = (lo + min(c * lows[j], c * highs[j]),
-                             hi + max(c * lows[j], c * highs[j]))
-                own = [(idx, hi - b, abs(c), c < 0)]
-                if is_eq:
-                    own.append((idx, lo - b, -abs(c), c > 0))
-                (decided if is_eq and lo == hi else terms).extend(own)
-                updates.append((idx, c))
-            nodes.append((j, decided + terms, updates))
+        for i in range(self.dim - 1, -1, -1):
+            terms, updates = [], []
+            for idx, (g, h) in enumerate(facets):
+                c = g[i]
+                if c:
+                    terms.append((idx, rest[idx] - h, abs(c), c < 0))
+                    rest[idx] += max(c * lows[i], c * highs[i])
+                    updates.append((idx, c))
+            moves = [(j, c) for j, c in enumerate(self.hull_lattice.basis[i]) if c]
+            nodes.append((terms, updates, moves))
         nodes.reverse()
         out = []
-        point = [0] * amb
-        sums = [0] * len(cons)
-        generator_set = set(self.generators)
-        anchor = self.hull_lattice.anchor
-        solve = self.hull_lattice.difference_coords
-        last = amb - 1
+        point = list(self.hull_lattice.anchor)
+        sums = [0] * len(facets)
+        last = self.dim - 1
 
-        def rec(pos):
-            j, terms, updates = nodes[pos]
-            vlo, vhi = lows[j], highs[j]
+        def rec(i, head):
+            terms, updates, moves = nodes[i]
+            vlo, vhi = lows[i], highs[i]
             for idx, k, d, upper in terms:
                 t = (sums[idx] + k) // d
                 if upper:
@@ -535,32 +485,31 @@ class LatticePolytope:
                     vlo = -t
                 if vlo > vhi:
                     return
-            if pos == last:
+            for j, c in moves:
+                point[j] += c * vlo
+            if i == last:
                 for v in range(vlo, vhi + 1):
-                    point[j] = v
-                    p = tuple(point)
-                    if p not in generator_set and not all(
-                            f.evaluate(p) >= 0 for f in leaf_facets):
-                        continue
-                    z = solve(vsub(p, anchor))
-                    if z is not None:
-                        out.append((p, z))
+                    out.append((tuple(point), head + (v,)))
+                    for j, c in moves:
+                        point[j] += c
+                for j, c in moves:
+                    point[j] -= c * (vhi + 1)
                 return
-            if vlo:
-                for idx, c in updates:
-                    sums[idx] += c * vlo
-            point[j] = vlo
-            rec(pos + 1)
+            for idx, c in updates:
+                sums[idx] += c * vlo
+            rec(i + 1, head + (vlo,))
             for v in range(vlo + 1, vhi + 1):
                 for idx, c in updates:
                     sums[idx] += c
-                point[j] = v
-                rec(pos + 1)
-            if vhi:
-                for idx, c in updates:
-                    sums[idx] -= c * vhi
+                for j, c in moves:
+                    point[j] += c
+                rec(i + 1, head + (v,))
+            for idx, c in updates:
+                sums[idx] -= c * vhi
+            for j, c in moves:
+                point[j] -= c * vhi
 
-        rec(0)
+        rec(0, ())
         return out
 
     def lattice_point_hull_coords(self):

@@ -201,9 +201,8 @@ class _SymmetrySearch:
 
     def __init__(self, polytope):
         self.polytope = polytope
-        pts = polytope.lattice_points()
-        self.n = len(pts)
-        self.coords = [polytope.hull_lattice.coords(p) for p in pts]
+        self.coords = polytope.lattice_point_hull_coords()
+        self.n = len(self.coords)
         self.coord_set = set(self.coords)
         self.slack, self.single = _point_invariants(polytope)
         self._pair_cache = {}

@@ -77,3 +77,15 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     )
     assert names and outside == []
+
+
+def test_import_leaves_out_the_array_extension():
+    # the level profiles pack through struct, which the interpreter loads at
+    # start; the array extension would cost every command its shared library
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, polycomp; print('array' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert res.returncode == 0
+    assert res.stdout == "False\n"

@@ -411,36 +411,57 @@ def test_lattice_points_supersets_generators_and_satisfy_facets():
 @settings(derandomize=True, max_examples=800, deadline=None)
 @given(small_polytopes() | small_polytopes(side=1) | small_polytopes(side=2))
 def test_lattice_points_match_bounding_box_oracle(poly):
-    # completeness as well as soundness, in lex order; the scan decides every
-    # equation and facet before it asks the lattice, and the hull
-    # coordinates it keeps are the lattice's own.  The 0/1 draws (side 1),
-    # unless an embedding widens their box, take the no-scan rule instead;
-    # the side-2 draws sit just past it
+    # completeness as well as soundness, in lex order; the scan runs in hull
+    # coordinates, where every integer point is a lattice point, so it never
+    # asks the hull lattice about a candidate, and the hull coordinates it
+    # keeps are the lattice's own.  The 0/1 draws (side 1), unless an
+    # embedding widens their box, take the no-scan rule instead; the side-2
+    # draws sit just past it
     poly.facets()
     asked = []
     solve = AffineLattice.difference_coords
 
     def recording(lattice, vec):
         if lattice is poly.hull_lattice:
-            asked.append(tuple(x + y for x, y in zip(vec, lattice.anchor)))
+            asked.append(vec)
         return solve(lattice, vec)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AffineLattice, "difference_coords", recording)
         points = poly.lattice_points()
+    assert asked == []
     assert points == lattice_points_by_box(poly)
-    assert all(poly.contains(p) for p in asked)
     assert poly.lattice_point_hull_coords() == tuple(poly.hull_lattice.coords(p) for p in points)
 
 
-def test_lattice_points_match_oracle_past_the_propagated_facets():
-    # the integer points of the ball of radius 4: 68 facets, so the last
-    # ones are checked only at the leaves; 257 points in a box of 729
-    ball = [p for p in product(range(-4, 5), repeat=3) if dot(p, p) <= 16]
-    poly = LatticePolytope(ball)
-    assert len(poly.facets()) > polytope.PROPAGATED_FACET_LIMIT
-    assert poly.lattice_points() == lattice_points_by_box(poly)
-    assert len(poly.lattice_points()) == 257
+def test_lattice_points_match_oracle_on_balls():
+    # the integer points of the balls of radius 4 and 8, whose many facets
+    # all bound the scan: 68 facets and 257 points in a box of 729, and 188
+    # facets and 2,109 points in a box of 4,913
+    for radius, facets, count in ((4, 68, 257), (8, 188, 2109)):
+        r = range(-radius, radius + 1)
+        poly = LatticePolytope([p for p in product(r, repeat=3) if dot(p, p) <= radius ** 2])
+        assert len(poly.facets()) == facets
+        assert poly.lattice_points() == lattice_points_by_box(poly)
+        assert len(poly.lattice_points()) == count
+
+
+@pytest.mark.parametrize("lattice, count", [
+    (standard_lattice(4), 22),
+    (AffineLattice((0, 0, 0, 0), ((1, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))), 10),
+])
+def test_lattice_points_of_an_embedded_triangle_with_non_unit_pivots(lattice, count):
+    # a triangle in Z^4 with two hull equations, whose hull basis in HNF has
+    # the pivot 3 in its first row, and in the second row too on the
+    # declared index-3 lattice, which keeps only the points whose second
+    # coordinate is a multiple of 3
+    poly = LatticePolytope([(0, 0, 0, 0), (9, 0, 9, 3), (0, 9, 18, -9)], lattice=lattice)
+    assert len(poly.hull_equations()) == 2
+    assert poly.hull_lattice.basis[0][0] == 3
+    points = poly.lattice_points()
+    assert points == lattice_points_by_box(poly)
+    assert len(points) == count
+    assert poly.lattice_point_hull_coords() == tuple(poly.hull_lattice.coords(p) for p in points)
 
 
 def test_cut_k6_lattice_points_are_its_32_cuts():
