@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, permutations
 from operator import index
 
 from .compressed import is_compressed
-from .linalg import affine_lattice_of, primitive, solve_fraction_free
+from .linalg import primitive, solve_fraction_free
 from .polytope import LatticePolytope, PointConfiguration
 from .simplex import LPResult, feasible_start, optimize
 from .triangulate import each_pulling_unimodular
@@ -336,8 +336,6 @@ def pull_first_unimodular(a, objective_index):
         raise ValueError("objective index out of range")
     if n > DEFAULT_ORDERING_CAP:
         raise ValueError(f"{n} columns exceed the ordering cap {DEFAULT_ORDERING_CAP}")
-    lattice = affine_lattice_of(columns)
-    coords = [lattice.coords(c) for c in columns]
     rest = [j for j in range(n) if j != objective_index]
     orders = ((objective_index,) + tail for tail in permutations(rest))
-    return any(each_pulling_unimodular(PointConfiguration(columns), coords, orders))
+    return any(each_pulling_unimodular(PointConfiguration(columns), orders))

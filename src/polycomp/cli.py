@@ -4,13 +4,15 @@ Every subcommand reads JSON files, writes one JSON document (or a table for
 sweeps and repro) to stdout, and keeps diagnostics on stderr.  Output is
 byte-identical across runs for identical inputs: no timestamps, fixed key
 order, sorted lists.  Exit codes: 0 computed, 1 verdict-negative where a
-verdict exists, 2 usage or input error.
+verdict exists, 2 usage or input error, or a stdout closed before the output
+was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -494,9 +496,20 @@ def main(argv=None):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout must fail here, inside the try, not at exit
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull so
+        # that flush succeeds (the recipe of the Python docs for SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write("error: stdout was closed before the output was written\n")
         return 2
     finally:
         if limit is not None:

@@ -241,8 +241,8 @@ class AffineLattice:
             raise ValueError("lattice basis rows must be linearly independent")
         object.__setattr__(self, "basis", tuple(rows))
         # each row as (pivot column, pivot, nonzero entries after the pivot),
-        # found once: divmod runs once per candidate point of the
-        # lattice-point scan and once per lifted facet
+        # found once: divmod runs once per lifted facet and once per point
+        # whose lattice coordinates are taken
         steps = []
         for row in rows:
             c = next(j for j, v in enumerate(row) if v)

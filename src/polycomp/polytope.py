@@ -191,14 +191,17 @@ def _facets_dd(points, dim):
 
 
 class PointConfiguration:
-    """A fixed point list with a cache of face splits.
+    """A fixed point list in the lattice it spans, with a cache of face splits.
+
+    ``lattice`` is the affine lattice L that the points span, and ``coords``
+    are their coordinates in it.  One double description on ``coords`` gives
+    the facets of conv(points) with their point sets T(G), normals primitive
+    on L, and slacks, which are lattice heights (``facets``).
 
     ``facet_subsets`` answers, for the point set of a face, how the facets of
     that face partition it.  The split depends only on geometry, never on an
     ordering, so every pulling-triangulation recursion over the same
-    configuration shares this cache.  One double description, on the pivot
-    coordinates of the point differences, gives the facets of conv(points)
-    with their point sets T(G); the facets of a face F are the
+    configuration shares this cache.  The facets of a face F are the
     inclusion-maximal proper nonempty sets F ∩ T(G) (Kaibel & Pfetsch,
     "Computing the face lattice of a polytope from its vertex-facet
     incidences", 2002).  Restricted to F's affine hull, a normal G that is
@@ -209,23 +212,32 @@ class PointConfiguration:
 
     def __init__(self, points):
         self.points = tuple(tuple(map(index, p)) for p in points)
+        self.lattice = affine_lattice_of(self.points)
+        self.coords = tuple(map(self.lattice.coords, self.points))
+        # the pivot columns of L's row-HNF basis are those of the differences
+        self._pivots = [next(j for j, v in enumerate(row) if v) for row in self.lattice.basis]
+        self._projected = [tuple(p[c] for c in self._pivots) for p in self.points]
         self._cache = {}
-        self._hull = None
+        self._facets = None
 
     def __len__(self):
         return len(self.points)
 
-    def _incidences(self):
-        """The points on their pivot coordinates, and (tight-point bitmask,
-        inner normal) for each facet of their hull, computed once."""
-        if self._hull is None:
-            base = self.points[0]
-            _, pivots, _ = rref([vsub(p, base) for p in self.points[1:]])
-            projected = [tuple(p[c] for c in pivots) for p in self.points]
-            facets = [(sum(1 << i for i in tight), g)
-                      for g, _, tight, _ in _facets_dd(projected, len(pivots))]
-            self._hull = projected, facets
-        return self._hull
+    def facets(self):
+        """(tight-point bitmask, (normal, slacks, pivot normal)) per facet.
+
+        With T the basis on the pivot columns, the points' pivot coordinates
+        are those of the anchor plus ``coords @ T``, so a facet's normal g is
+        ``T @ y`` for its normal y on the pivot coordinates; one solve gives
+        every y up to a positive factor.
+        """
+        if self._facets is None:
+            raw = _facets_dd(self.coords, self.lattice.dim)
+            t = [[row[c] for c in self._pivots] for row in self.lattice.basis]
+            scaled, _ = solve_fraction_free(t, list(zip(*(g for g, _, _, _ in raw))))
+            self._facets = tuple((sum(1 << i for i in tight), (g, slacks, y))
+                                 for (g, _, tight, slacks), y in zip(raw, zip(*scaled)))
+        return self._facets
 
     def facet_subsets(self, key):
         """Facet point-index subsets of the face conv(points[key]), in the
@@ -237,18 +249,17 @@ class PointConfiguration:
         return self._cache[key]
 
     def _split(self, key):
-        projected, facets = self._incidences()
         mask = sum(1 << i for i in key)
-        closure, normals = face_intersections(mask, facets)
+        closure, labels = face_intersections(mask, self.facets())
         if closure & ((1 << len(self.points)) - 1) != mask:
             raise ValueError("the key is not the point set of a face")
         ordered = sorted(key)
-        base = projected[ordered[0]]
-        reduced, _, _ = rref([vsub(projected[i], base) for i in ordered[1:]])
+        base = self._projected[ordered[0]]
+        reduced, _, _ = rref([vsub(self._projected[i], base) for i in ordered[1:]])
         if len(reduced) == len(ordered) - 1:
             return None
-        kept = inclusion_maximal(normals)
-        kept.sort(key=lambda m: primitive([dot(normals[m], row) for row in reduced]))
+        kept = inclusion_maximal(labels)
+        kept.sort(key=lambda m: primitive([dot(labels[m][2], row) for row in reduced]))
         return tuple(frozenset(i for i in ordered if m >> i & 1) for m in kept)
 
 
@@ -313,7 +324,6 @@ class LatticePolytope:
         self._hull_equations = None
         self._lattice_points = None
         self._lattice_point_coords = None
-        self._point_lattice = None
         self._vertex_mask = None
         self._configuration = None
         self._lift_cache = None
@@ -526,9 +536,7 @@ class LatticePolytope:
         generators' own lattice, but can be finer-grained bookkeeping when a
         coarser ambient lattice was declared.
         """
-        if self._point_lattice is None:
-            self._point_lattice = affine_lattice_of(self.lattice_points())
-        return self._point_lattice
+        return self.configuration().lattice
 
     def vertices(self):
         """Generators that are vertices (tight facet normals span everything)."""

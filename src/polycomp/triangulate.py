@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .linalg import (AffineLattice, determinant, dot, identity_matrix, integer_kernel, rref,
+from .linalg import (AffineLattice, determinant, dot, hermite_normal_form, identity_matrix, rref,
                      saturate_rows, solve_fraction_free, vsub)
-from .polytope import PointConfiguration, _facets_dd, face_intersections, inclusion_maximal
+from .polytope import _facets_dd, face_intersections, inclusion_maximal
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,12 @@ class Triangulation:
 
 
 def pulling_triangulation_of(config, order):
-    """Pulling triangulation of config.points induced by the given ordering.
+    """Pulling triangulation of a PointConfiguration induced by an ordering.
 
     ``order`` is a permutation of ``range(len(config))``.  The recursion over
     faces is memoized per face (the set of its points), which is valid because
     the induced ordering of a face is a function of the global one.
     """
-    if not isinstance(config, PointConfiguration):
-        config = PointConfiguration(config)
     order = tuple(order)
     if sorted(order) != list(range(len(config))):
         raise ValueError("order must be a permutation of all point indices")
@@ -104,11 +102,6 @@ def normalized_volume(simplex_points, lattice):
     return vol
 
 
-def _volume_coords(polytope):
-    lat = polytope.point_lattice()
-    return [lat.coords(p) for p in polytope.lattice_points()]
-
-
 def _cell_volume(coords, cell):
     """|det| of the cell's edge vectors over ``coords``: its normalized volume."""
     return abs(determinant([vsub(coords[i], coords[cell[0]]) for i in cell[1:]]))
@@ -116,20 +109,20 @@ def _cell_volume(coords, cell):
 
 def triangulation_volumes(polytope, triangulation):
     """Normalized volume of each simplex, against the lattice-point lattice."""
-    coords = _volume_coords(polytope)
+    coords = polytope.configuration().coords
     return [_cell_volume(coords, cell) for cell in triangulation.simplices]
 
 
 def is_unimodular(polytope, triangulation):
     """(all simplices unimodular?, first offending simplex or None)."""
-    coords = _volume_coords(polytope)
+    coords = polytope.configuration().coords
     bad = next((c for c in triangulation.simplices if _cell_volume(coords, c) != 1), None)
     return bad is None, bad
 
 
-def each_pulling_unimodular(config, coords, orders):
+def each_pulling_unimodular(config, orders):
     """Yield, per ordering in ``orders``, whether its pulling triangulation of
-    ``config`` is unimodular over the integer lattice coordinates ``coords``.
+    ``config`` is unimodular over ``config.coords``.
 
     The cell volumes of the first ordering sum to the normalized volume V of
     conv(config), which every triangulation of the point set shares, since
@@ -143,7 +136,7 @@ def each_pulling_unimodular(config, coords, orders):
     for order in orders:
         cells = pulling_triangulation_of(config, order).simplices
         if volume is None:
-            volume = sum(_cell_volume(coords, cell) for cell in cells)
+            volume = sum(_cell_volume(config.coords, cell) for cell in cells)
         yield len(cells) == volume
 
 
@@ -155,9 +148,6 @@ def total_normalized_volume(polytope):
     facet's induced lattice).  Serves as the independent check that simplex
     volumes of any pulling triangulation sum correctly.
     """
-    lat = polytope.point_lattice()
-    zpts = [lat.coords(p) for p in polytope.lattice_points()]
-
     def rec(pts):
         base = pts[0]
         diffs = [vsub(p, base) for p in pts[1:]]
@@ -176,35 +166,26 @@ def total_normalized_volume(polytope):
                 total += height * rec([local[i] for i in sorted(tight)])
         return total
 
-    return rec(zpts)
+    return rec(polytope.configuration().coords)
 
 
 # -- affine symmetries ------------------------------------------------------
 
 
-def _point_invariants(polytope):
-    """Per-point and per-pair facet-slack invariants of the lattice points.
-
-    Affine symmetries permute facets and preserve each slack exactly (facet
-    normals are primitive on the lattice), so the sorted slack multiset of a
-    point, and of an ordered pair, are matching invariants.
-    """
-    pts = polytope.lattice_points()
-    facets = polytope.facets()
-    slack = [tuple(f.evaluate(p) for f in facets) for p in pts]
-    single = [tuple(sorted(s)) for s in slack]
-    return slack, single
-
-
 class _SymmetrySearch:
-    """Backtracking search for affine symmetries of the lattice-point set."""
+    """Backtracking search for affine symmetries of a configuration's points.
 
-    def __init__(self, polytope):
-        self.polytope = polytope
-        self.coords = polytope.lattice_point_hull_coords()
+    A symmetry maps the points' lattice onto itself and permutes the facets,
+    whose normals are primitive on it, so it preserves every slack.  The
+    sorted slacks of a point, and of an ordered pair, are matching invariants.
+    """
+
+    def __init__(self, config):
+        self.coords = config.coords
         self.n = len(self.coords)
         self.coord_set = set(self.coords)
-        self.slack, self.single = _point_invariants(polytope)
+        self.slack = list(zip(*(slacks for _, (_, slacks, _) in config.facets())))
+        self.single = [tuple(sorted(s)) for s in self.slack]
         self._pair_cache = {}
 
     def pair_sig(self, i, j):
@@ -274,15 +255,16 @@ def lattice_point_orbits(polytope):
     """Orbits of the lattice points under the affine symmetry group.
 
     Symmetries are found by solving for affine maps from frame-point
-    correspondences; reachability under the group is an equivalence, so the
-    returned sorted index lists partition the points.
+    correspondences on ``polytope.configuration()``; reachability under the
+    group is an equivalence, so the returned sorted index lists partition
+    the points.
     """
-    pts = polytope.lattice_points()
-    n = len(pts)
-    if n == polytope.dim + 1:
+    config = polytope.configuration()
+    n = len(config)
+    if n == config.lattice.dim + 1:
         # a simplex on exactly its lattice points: the full symmetric group acts
         return [list(range(n))]
-    search = _SymmetrySearch(polytope)
+    search = _SymmetrySearch(config)
     orbits = []
     unassigned = set(range(n))
     while unassigned:
@@ -314,8 +296,8 @@ def transitive_symmetry_shortcut(polytope):
     orbits = lattice_point_orbits(polytope)
     if len(orbits) != 1:
         return "inapplicable"
-    order = tuple(range(len(polytope.lattice_points())))
-    ok = next(each_pulling_unimodular(polytope.configuration(), _volume_coords(polytope), [order]))
+    config = polytope.configuration()
+    ok = next(each_pulling_unimodular(config, [range(len(config))]))
     return "compressed" if ok else "not-compressed"
 
 
@@ -340,28 +322,28 @@ def all_pulling_unimodular(polytope):
     that its normalized volume is 1.
 
     Heights and volumes are measured in the saturated lattice Z^d ∩ aff(F)
-    of the point-lattice coordinates (``_volume_coords``), never by the gcd
-    over F's own points, under which an empty simplex face of volume 2
-    would pass its own check.  One double description gives the facets H
-    of the whole polytope with their slacks, and a facet G of F is F ∩ T(H)
-    for some H (Kaibel & Pfetsch 2002).  Each face carries a basis of its
-    lattice, tracked from the top down: on F's basis, H's normal takes
-    values w whose gcd c generates its values on F's lattice, so the points
-    of F must have slack 0 or c, and G's basis is the integer kernel of w
-    times F's basis.  Each face is visited at most once per call (memoized
-    by its point set), and the first failing height ends the search.
+    of ``polytope.configuration().coords``, never by the gcd over F's own
+    points, under which an empty simplex face of volume 2 would pass its
+    own check.  The configuration's facets H come with their slacks, and a
+    facet G of F is F ∩ T(H) for some H (Kaibel & Pfetsch 2002).  Each face
+    carries a basis of its lattice, tracked from the top down: on F's
+    basis, H's normal takes values w whose gcd c generates its values on
+    F's lattice, so the points of F must have slack 0 or c, and G's basis
+    is a kernel basis of w times F's basis.  The HNF of w as a column is
+    ``U @ w == (c, 0, ..., 0)`` with U unimodular (w != 0, as G is a proper
+    face), so U's other rows are such a basis.  Each face is visited at
+    most once per call (memoized by its point set), and the first failing
+    height ends the search.
     """
-    coords = _volume_coords(polytope)
-    dim = len(coords[0])
-    incidences = [(sum(1 << i for i in tight), (g, slacks))
-                  for g, _, tight, slacks in _facets_dd(coords, dim)]
+    config = polytope.configuration()
+    incidences = config.facets()
     verdicts = {}  # face point bitmask -> passes; lives for this call only
 
     def passes(mask, basis):
-        points = [i for i in range(len(coords)) if mask >> i & 1]
+        points = [i for i in range(len(config)) if mask >> i & 1]
         _, labels = face_intersections(mask, incidences)
         split = [(sub, labels[sub]) for sub in inclusion_maximal(labels)]
-        for _, (g, slacks) in split:
+        for _, (g, slacks, _) in split:
             positive = {slacks[i] for i in points}
             positive.discard(0)
             if len(positive) != 1:
@@ -371,10 +353,10 @@ def all_pulling_unimodular(polytope):
             (s,) = positive
             if s != 1 and s != gcd(*(dot(g, row) for row in basis)):
                 return False
-        for sub, (g, _) in split:
+        for sub, (g, _, _) in split:
             verdict = verdicts.get(sub)
             if verdict is None:
-                kernel = integer_kernel([[dot(g, row) for row in basis]])
+                kernel = hermite_normal_form([[dot(g, row)] for row in basis])[1][1:]
                 columns = list(zip(*basis))
                 sub_basis = [[dot(y, col) for col in columns] for y in kernel]
                 verdict = verdicts[sub] = passes(sub, sub_basis)
@@ -382,4 +364,4 @@ def all_pulling_unimodular(polytope):
                 return False
         return True
 
-    return passes((1 << len(coords)) - 1, identity_matrix(dim))
+    return passes((1 << len(config)) - 1, identity_matrix(config.lattice.dim))

@@ -7,9 +7,10 @@ from math import gcd
 from hypothesis import strategies as st
 
 from polycomp.cutpoly import _MINOR_ORDER
-from polycomp.linalg import AffineLattice, determinant, dot, primitive, rref, standard_lattice, vsub
+from polycomp.linalg import (AffineLattice, determinant, dot, matrix_rank, primitive, rref,
+                             standard_lattice, vsub)
 from polycomp.polytope import LatticePolytope
-from polycomp.triangulate import _volume_coords, each_pulling_unimodular, lattice_point_orbits
+from polycomp.triangulate import each_pulling_unimodular, lattice_point_orbits
 
 
 def birkhoff(n):
@@ -192,7 +193,39 @@ def all_pulling_unimodular_exhaustive(polytope):
         for first in (orbit[0] for orbit in lattice_point_orbits(polytope))
         for tail in permutations([i for i in range(k) if i != first])
     )
-    return all(each_pulling_unimodular(polytope.configuration(), _volume_coords(polytope), orders))
+    return all(each_pulling_unimodular(polytope.configuration(), orders))
+
+
+def lattice_point_orbits_bruteforce(polytope):
+    """Orbits of the lattice points under every permutation sigma of them
+    that an affine map induces: the reference ``lattice_point_orbits`` must
+    match.
+
+    With P the rows (1, p_i), sigma is induced exactly when appending the
+    rows (1, p_sigma(i)) to P keeps its rank: a linear map then carries each
+    row of P to its image, and it fixes the first coordinate.  Every prefix
+    of such a sigma keeps the rank of its own rows too, which prunes the
+    search over permutations.
+    """
+    rows = [(1,) + tuple(p) for p in polytope.lattice_points()]
+    n = len(rows)
+    ranks = [matrix_rank(rows[:k + 1]) for k in range(n)]
+    orbits = [{i} for i in range(n)]
+
+    def extend(image):
+        k = len(image)
+        if k == n:
+            for i, j in enumerate(image):
+                orbits[i].add(j)
+            return
+        for j in range(n):
+            if j not in image:
+                pairs = [rows[i] + rows[t] for i, t in enumerate(image + [j])]
+                if matrix_rank(pairs) == ranks[k]:
+                    extend(image + [j])
+
+    extend([])
+    return [list(orbit) for orbit in sorted({tuple(sorted(orbit)) for orbit in orbits})]
 
 
 def lattice_points_by_box(polytope):

@@ -131,6 +131,30 @@ def test_cut_classify_large_graphs_in_a_subprocess(tmp_path, graph, k5, longest)
     assert payload == {"compressed": False, "k5_minor": k5, "max_induced_cycle": longest}
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--polytope", "square.json"],
+    ["repro", "--all"],
+    ["sweep", "--matrix", "segment.json", "--budget", "2", "--format", "tsv"],
+], ids=["certify", "repro", "sweep-tsv"])
+def test_closed_stdout_is_one_error_line(tmp_path, argv):
+    write(tmp_path, "square.json", SQUARE)
+    write(tmp_path, "segment.json", SEGMENT_MATRIX)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "polycomp", *argv], cwd=tmp_path,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(polycomp.__file__).parents[1])},
+        )
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_cut_classify_refuses_at_the_search_budget(tmp_path, capsys, monkeypatch):
     k34 = {"n": 7, "edges": [[i, j] for i in (1, 2, 3) for j in (4, 5, 6, 7)]}
     path = write(tmp_path, "k34.json", k34)

@@ -28,7 +28,8 @@ from polycomp.polytope import (
     facet_enumeration,
     sublattice_through,
 )
-from polycomp.triangulate import pulling_triangulation_of
+from polycomp.triangulate import (all_pulling_unimodular, pulling_triangulation_of,
+                                  transitive_symmetry_shortcut)
 
 from conftest import _facets_bruteforce, birkhoff, lattice_points_by_box, small_polytopes
 
@@ -255,6 +256,18 @@ def test_one_double_description_per_configuration(monkeypatch):
     monkeypatch.setattr(polytope, "_facets_dd", counted)
     triangulation = pulling_triangulation_of(PointConfiguration(points), range(len(points)))
     assert len(triangulation) > 1
+    assert len(calls) == 1
+
+    # the symmetry search and the face recursion read the configuration's
+    # description too, not the polytope's lifted facets
+    def unexpected(self):
+        raise AssertionError("LatticePolytope.facets was called")
+
+    monkeypatch.setattr(LatticePolytope, "facets", unexpected)
+    calls.clear()
+    b3 = birkhoff(3)
+    assert transitive_symmetry_shortcut(b3) == "compressed"
+    assert all_pulling_unimodular(b3) is True
     assert len(calls) == 1
 
 

@@ -28,7 +28,9 @@ from conftest import (
     all_pulling_unimodular_exhaustive,
     birkhoff,
     fraction_solve,
+    lattice_point_orbits_bruteforce,
     per_cell_unimodular,
+    small_polytopes,
 )
 
 SEGMENT = LatticePolytope([(0,), (1,), (2,)])  # lattice Z, points 0,1,2
@@ -240,6 +242,29 @@ def test_orbits_partition_points():
     assert len(orbits) > 1
 
 
+def test_orbits_of_a_triangle_with_a_long_base():
+    # the left edge's ambient normal is twice its primitive normal on the
+    # points' lattice, so ambient slacks would split the mirror pairs
+    poly = LatticePolytope([(0, 1), (1, 3), (2, 1), (3, 1)])
+    assert poly.lattice_points() == ((0, 1), (1, 1), (1, 3), (2, 1), (3, 1))
+    assert lattice_point_orbits(poly) == [[0, 4], [1, 3], [2]]
+
+
+def test_shortcut_octahedron_image_compressed():
+    # an integer image of the unit octahedron; its symmetry group is transitive
+    poly = LatticePolytope([(-1, 1, 0), (0, -1, -1), (0, -1, 3), (0, 1, -3), (0, 1, 1), (1, -1, 0)])
+    assert lattice_point_orbits(poly) == [list(range(6))]
+    assert transitive_symmetry_shortcut(poly) == "compressed"
+    assert all_pulling_unimodular(poly) is True
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(small_polytopes())
+def test_orbits_match_affine_permutation_oracle(poly):
+    assume(len(poly.lattice_points()) <= 7)
+    assert lattice_point_orbits(poly) == lattice_point_orbits_bruteforce(poly)
+
+
 def test_all_pulling_single_point_true():
     assert all_pulling_unimodular(LatticePolytope([(3, 4)])) is True
 
@@ -314,7 +339,7 @@ def test_all_pulling_matches_exhaustive_on_small_cases():
 def test_pulling_of_point_sublist():
     # pulling triangulation over an explicit point list (not all lattice points)
     pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    tri = pulling_triangulation_of(pts, (0, 1, 2, 3))
+    tri = pulling_triangulation_of(PointConfiguration(pts), (0, 1, 2, 3))
     assert len(tri.simplices) == 2
     for cell in tri.simplices:
         assert 0 in cell
@@ -344,7 +369,7 @@ def test_search_matches_per_cell_determinants(pts, rng):
         per_cell_unimodular(coords, pulling_triangulation_of(config, o).simplices)
         for o in orders
     ]
-    assert list(each_pulling_unimodular(config, coords, orders)) == expected
+    assert list(each_pulling_unimodular(config, orders)) == expected
 
 
 def test_search_takes_determinants_for_its_first_ordering_only(monkeypatch):
@@ -353,17 +378,13 @@ def test_search_takes_determinants_for_its_first_ordering_only(monkeypatch):
     monkeypatch.setattr(triangulate, "determinant", lambda m: calls.append(m) or det(m))
 
     # all 24 orderings of the square are unimodular, from one determinant per cell
-    lattice = SQUARE.point_lattice()
-    coords = [lattice.coords(p) for p in SQUARE.lattice_points()]
-    orders = list(permutations(range(len(coords))))
-    assert all(each_pulling_unimodular(SQUARE.configuration(), coords, orders))
+    orders = list(permutations(range(len(SQUARE.lattice_points()))))
+    assert all(each_pulling_unimodular(SQUARE.configuration(), orders))
     assert len(calls) == len(pulling_triangulation(SQUARE, (0, 1, 2, 3)))
 
     triangle = LatticePolytope([(0, 0), (2, 0), (0, 2)], lattice=standard_lattice(2))
-    lattice = triangle.point_lattice()
-    coords = [lattice.coords(p) for p in triangle.lattice_points()]
-    orders = list(permutations(range(len(coords))))
+    orders = list(permutations(range(len(triangle.lattice_points()))))
     calls.clear()
-    verdicts = list(each_pulling_unimodular(triangle.configuration(), coords, orders))
+    verdicts = list(each_pulling_unimodular(triangle.configuration(), orders))
     assert len(verdicts) == len(orders) and True in verdicts and False in verdicts
     assert len(calls) == len(pulling_triangulation(triangle, orders[0]))
